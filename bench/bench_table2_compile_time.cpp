@@ -15,6 +15,10 @@
 // generation is dominated by the MCFP (~n^2..n^3 in strings, insensitive
 // to qubit count), circuit generation scales with N and string count.
 //
+// Prp is timed twice: its rounds solved one at a time (jobs=1) and
+// concurrently on every hardware thread. The two matrices must be
+// bit-identical; the bench exits 1 otherwise.
+//
 // Flags: --strings=100,500,1000  --qubits=10,20,30  --rounds (Prp rounds,
 // paper: 100, default 4)  --paper for the full setting.
 //
@@ -22,6 +26,8 @@
 
 #include "BenchCommon.h"
 #include "hamgen/Models.h"
+#include "support/Serial.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <cmath>
@@ -48,6 +54,7 @@ int main(int Argc, char **Argv) {
       parseList(CL.getString("strings", "100,500,1000"));
   unsigned Rounds =
       static_cast<unsigned>(CL.getInt("rounds", Paper ? 100 : 4));
+  const unsigned Jobs = ThreadPool::hardwareWorkers();
   double T = M_PI / 4.0;
   double Eps = 0.05;
   // Random Hamiltonians are rescaled to a moderate lambda so the sampling
@@ -57,8 +64,11 @@ int main(int Argc, char **Argv) {
   std::cout << "Table 2: compilation time analysis (t=pi/4, eps=0.05, "
                "lambda=" << formatDouble(Lambda)
             << ", Prp rounds=" << Rounds << ")\n\n";
-  Table Out({"Qubit#", "String#", "N", "Pqd(s)", "Pgc(s)", "Prp(s)",
-             "circ Baseline(s)", "circ GC(s)", "circ GC-RP(s)"});
+  const std::string PrpParallel = "Prp j=" + std::to_string(Jobs) + "(s)";
+  Table Out({"Qubit#", "String#", "N", "Pqd(s)", "Pgc(s)", "Prp j=1(s)",
+             PrpParallel, "circ Baseline(s)", "circ GC(s)",
+             "circ GC-RP(s)"});
+  bool Identical = true;
 
   for (int64_t Q : Qubits) {
     for (int64_t S : Strings) {
@@ -81,6 +91,16 @@ int main(int Argc, char **Argv) {
       RNG PerturbRng(0x5EED);
       TransitionMatrix Prp = buildRandomPerturbation(H, Rounds, PerturbRng);
       double TimeRp = TRp.seconds();
+
+      Timer TRpJobs;
+      RNG PerturbRngJobs(0x5EED);
+      TransitionMatrix PrpJobs =
+          buildRandomPerturbation(H, Rounds, PerturbRngJobs, {}, Jobs);
+      double TimeRpJobs = TRpJobs.seconds();
+      for (size_t I = 0; I < Prp.size(); ++I)
+        for (size_t J = 0; J < Prp.size(); ++J)
+          Identical &= serial::doubleBits(Prp.at(I, J)) ==
+                       serial::doubleBits(PrpJobs.at(I, J));
 
       TransitionMatrix MGc =
           TransitionMatrix::combine({&Pqd, &Pgc}, {0.4, 0.6});
@@ -106,14 +126,17 @@ int main(int Argc, char **Argv) {
 
       Out.addRow({std::to_string(Q), std::to_string(S), std::to_string(N),
                   formatDouble(TimeQd), formatDouble(TimeGc),
-                  formatDouble(TimeRp), formatDouble(CBase),
+                  formatDouble(TimeRp), formatDouble(TimeRpJobs),
+                  formatDouble(CBase),
                   formatDouble(CGc), formatDouble(CRp)});
     }
   }
   Out.print(std::cout);
+  std::cout << "\nPrp bit-identical at jobs=1 and jobs=" << Jobs << ": "
+            << (Identical ? "yes" : "NO") << "\n";
   std::cout << "\nPaper shape to check: times depend almost entirely on the "
                "string count, not\nthe qubit count; Pgc/Prp (MCFP) dominate "
                "matrix generation and grow\nsuperlinearly in the string "
                "count; circuit generation is linear in N.\n";
-  return 0;
+  return Identical ? 0 : 1;
 }

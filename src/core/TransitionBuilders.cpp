@@ -8,6 +8,7 @@
 
 #include "core/CNOTCountOracle.h"
 #include "flow/MinCostFlow.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
@@ -58,26 +59,29 @@ solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
            "pi_i > 0.5: split the Hamiltonian first (Theorem 5.1)");
   std::vector<int64_t> Units = quantize(Pi, Opts.ProbScale);
 
-  // Node layout: 0 = S, 1..N = Prev, N+1..2N = Next, 2N+1 = T.
+  // Node layout: 0 = S, 1..N = Prev, N+1..2N = Next, 2N+1 = T. Every node
+  // has exactly N incident arcs. Edge ids run: the N source edges, then the
+  // N(N-1) middle edges row-major with the diagonal skipped, then the N
+  // sink edges — so a middle edge's id is computed, not stored.
   const size_t S = 0, T = 2 * N + 1;
   auto PrevNode = [](size_t I) { return 1 + I; };
   auto NextNode = [N](size_t J) { return 1 + N + J; };
+  auto MiddleEdge = [N](size_t I, size_t J) {
+    return N + I * (N - 1) + J - (J > I ? 1 : 0);
+  };
 
   MinCostFlow Net(2 * N + 2);
-  std::vector<size_t> SourceEdges(N);
+  Net.reserve(N * (N + 1), N);
   for (size_t I = 0; I < N; ++I)
-    SourceEdges[I] = Net.addEdge(S, PrevNode(I), Units[I], 0);
-
-  // Dense middle edges; ids laid out row-major for extraction.
-  std::vector<std::vector<size_t>> MiddleEdge(N,
-                                              std::vector<size_t>(N, ~0ULL));
+    Net.addEdge(S, PrevNode(I), Units[I], 0);
   for (size_t I = 0; I < N; ++I)
     for (size_t J = 0; J < N; ++J) {
       if (I == J)
         continue; // excluded to rule out the trivial identity matrix
-      MiddleEdge[I][J] = Net.addEdge(PrevNode(I), NextNode(J),
-                                     MinCostFlow::kInfiniteCapacity,
-                                     CostFn(I, J));
+      [[maybe_unused]] size_t Id =
+          Net.addEdge(PrevNode(I), NextNode(J),
+                      MinCostFlow::kInfiniteCapacity, CostFn(I, J));
+      assert(Id == MiddleEdge(I, J) && "middle edge id layout drifted");
     }
   for (size_t J = 0; J < N; ++J)
     Net.addEdge(NextNode(J), T, Units[J], 0);
@@ -99,7 +103,7 @@ solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
     for (size_t J = 0; J < N; ++J) {
       if (I == J)
         continue;
-      P.at(I, J) = static_cast<double>(Net.flowOnEdge(MiddleEdge[I][J])) /
+      P.at(I, J) = static_cast<double>(Net.flowOnEdge(MiddleEdge(I, J))) /
                    static_cast<double>(Units[I]);
     }
   }
@@ -125,26 +129,52 @@ marqsim::buildFromCostTable(const Hamiltonian &H,
 
 TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
                                                   unsigned Rounds, RNG &Rng,
-                                                  const MCFPOptions &Opts) {
+                                                  const MCFPOptions &Opts,
+                                                  unsigned Jobs) {
   assert(Rounds > 0 && "perturbation averaging needs at least one round");
   std::vector<std::vector<unsigned>> Cost = cnotCostTable(H);
   const size_t N = H.numTerms();
 
+  // Independent epsilon per edge: +1 CNOT with probability 1/2 (the
+  // paper's perturbation configuration, Section 6.1). Every bit is drawn
+  // up front on the calling thread, in the serial (round, I, J) order, so
+  // the caller's RNG ends in the same state for any Jobs. One bit per
+  // cell keeps 100 rounds at 661 terms near 5 MB.
+  const size_t Cells = N * N, WordsPerRound = (Cells + 63) / 64;
+  std::vector<uint64_t> Bumps(Rounds * WordsPerRound, 0);
+  for (size_t Round = 0; Round < Rounds; ++Round) {
+    uint64_t *Words = &Bumps[Round * WordsPerRound];
+    for (size_t Cell = 0; Cell < Cells; ++Cell)
+      if (Rng.bernoulli(0.5))
+        Words[Cell / 64] |= uint64_t(1) << (Cell % 64);
+  }
+
+  // The rounds are independent solves. They run in waves of at most Jobs,
+  // and each wave folds into Sum in ascending round order — the serial
+  // summation order — so the result is bit-identical for every Jobs, and
+  // only one wave's networks and round matrices are ever alive.
+  if (Jobs == 0)
+    Jobs = ThreadPool::hardwareWorkers();
+  const size_t Wave = std::min<size_t>(Jobs, Rounds);
+  std::vector<TransitionMatrix> Solved(Wave);
   TransitionMatrix Sum(N);
-  for (unsigned Round = 0; Round < Rounds; ++Round) {
-    // Independent epsilon per edge: +1 CNOT with probability 1/2
-    // (the paper's perturbation configuration, Section 6.1).
-    std::vector<std::vector<int64_t>> Perturbed(N, std::vector<int64_t>(N));
-    for (size_t I = 0; I < N; ++I)
-      for (size_t J = 0; J < N; ++J)
-        Perturbed[I][J] =
-            Opts.CostScale * static_cast<int64_t>(Cost[I][J]) +
-            (Rng.bernoulli(0.5) ? Opts.CostScale : 0);
-    TransitionMatrix P = solveFlowMatrix(
-        H, Opts, [&](size_t I, size_t J) { return Perturbed[I][J]; });
-    for (size_t I = 0; I < N; ++I)
-      for (size_t J = 0; J < N; ++J)
-        Sum.at(I, J) += P.at(I, J);
+  for (size_t First = 0; First < Rounds; First += Wave) {
+    const size_t Count = std::min<size_t>(Wave, Rounds - First);
+    parallelFor(Count, Jobs, [&](size_t K) {
+      const uint64_t *Words = &Bumps[(First + K) * WordsPerRound];
+      Solved[K] = solveFlowMatrix(H, Opts, [&](size_t I, size_t J) {
+        const size_t Cell = I * N + J;
+        const bool Bump = (Words[Cell / 64] >> (Cell % 64)) & 1;
+        return Opts.CostScale * static_cast<int64_t>(Cost[I][J]) +
+               (Bump ? Opts.CostScale : 0);
+      });
+    });
+    for (size_t K = 0; K < Count; ++K) {
+      for (size_t I = 0; I < N; ++I)
+        for (size_t J = 0; J < N; ++J)
+          Sum.at(I, J) += Solved[K].at(I, J);
+      Solved[K] = TransitionMatrix(); // release before the next wave
+    }
   }
   for (size_t I = 0; I < N; ++I)
     for (size_t J = 0; J < N; ++J)

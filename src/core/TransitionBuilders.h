@@ -68,9 +68,14 @@ buildFromCostTable(const Hamiltonian &H,
 /// Prp of Section 5.5: averages \p Rounds solutions of the gate-
 /// cancellation MCFP whose costs receive independent +1 perturbations with
 /// probability 1/2 (the paper's configuration; it uses 100 rounds).
+/// The rounds are solved concurrently on up to \p Jobs workers (0 selects
+/// the hardware thread count, as in parallelFor), at most Jobs at a time.
+/// The result and the state \p Rng is left in are bit-identical for every
+/// Jobs: all perturbations are drawn on the calling thread first.
 TransitionMatrix buildRandomPerturbation(const Hamiltonian &H,
                                          unsigned Rounds, RNG &Rng,
-                                         const MCFPOptions &Opts = {});
+                                         const MCFPOptions &Opts = {},
+                                         unsigned Jobs = 1);
 
 /// Extension (paper Section 7): MCFP matrix whose costs are 0 for
 /// mutually commuting term pairs and 1 otherwise, biasing the chain toward

@@ -18,6 +18,13 @@ MinCostFlow::MinCostFlow(size_t NumNodes) : NumNodes(NumNodes) {
   Adj.resize(NumNodes);
 }
 
+void MinCostFlow::reserve(size_t NumEdges, size_t Degree) {
+  Edges.reserve(2 * NumEdges);
+  OriginalCapacity.reserve(NumEdges);
+  for (std::vector<uint32_t> &Arcs : Adj)
+    Arcs.reserve(Degree);
+}
+
 size_t MinCostFlow::addEdge(size_t From, size_t To, int64_t Capacity,
                             int64_t Cost) {
   assert(From < NumNodes && To < NumNodes && "edge endpoint out of range");

@@ -41,6 +41,12 @@ public:
   size_t numNodes() const { return NumNodes; }
   size_t numEdges() const { return Edges.size() / 2; }
 
+  /// Pre-sizes storage for \p NumEdges edges and for \p Degree arcs
+  /// (forward and reverse together) at every node, so building a network
+  /// of known shape never reallocates. Purely a capacity hint: ids, arc
+  /// order and results do not change.
+  void reserve(size_t NumEdges, size_t Degree);
+
   /// Adds a directed edge and returns its id (for flowOnEdge).
   /// Requires Capacity >= 0.
   size_t addEdge(size_t From, size_t To, int64_t Capacity, int64_t Cost);

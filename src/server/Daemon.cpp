@@ -501,7 +501,13 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
                             "unknown frame type '" + F->Type + "'"));
     }
   }
-  Conn->Sock.close();
+  {
+    // Under ConnMutex: the drain path calls shutdownRead() on every open
+    // connection under the same lock, and must never see a closed fd
+    // whose number the kernel may already have handed to another socket.
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    Conn->Sock.close();
+  }
   Conn->Done.store(true, std::memory_order_release);
 }
 

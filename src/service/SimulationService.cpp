@@ -181,7 +181,7 @@ struct SimulationService::Impl {
           [&] {
             RNG PerturbRng(Spec.PerturbSeed);
             return buildRandomPerturbation(H, Spec.PerturbRounds, PerturbRng,
-                                           Spec.Flow);
+                                           Spec.Flow, Spec.Jobs);
           },
           Local);
       Parts.push_back(RP.get());
@@ -578,7 +578,9 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
     const bool UseSuper = Noise && !StochasticNoise &&
                           Strategy->isDeterministic() &&
                           H.numQubits() <= SuperoperatorMaxQubits;
-    Req.PerShot = [&, EvalJobs = Req.EvalJobs,
+    // UseSuper is captured by value: compileBatch calls the hook after
+    // this block has closed.
+    Req.PerShot = [&, UseSuper, EvalJobs = Req.EvalJobs,
                    Precision = Spec.Precision](size_t Shot,
                                                const CompilationResult &R) {
       if (Eval && (!EvalOnce || Shot == 0)) {

@@ -195,7 +195,8 @@ struct TaskSpec {
   /// SparSto keep-probability scale.
   double SparStoKeepScale = 1.5;
 
-  /// Batch shape.
+  /// Batch shape. Jobs also bounds how many Prp perturbation rounds a
+  /// cold compile solves at once; it never changes a bit of output.
   size_t Shots = 1;
   unsigned Jobs = 1;
   uint64_t Seed = 1;

@@ -18,9 +18,11 @@
 #include "core/HTTGraph.h"
 #include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
+#include "hamgen/Registry.h"
 #include "linalg/Expm.h"
 #include "sim/Fidelity.h"
 #include "sim/StateVector.h"
+#include "support/Serial.h"
 
 #include <gtest/gtest.h>
 
@@ -52,6 +54,15 @@ Matrix scheduleUnitary(const std::vector<ScheduledRotation> &Schedule,
   for (const auto &Step : Schedule)
     U = expm(Step.String.toMatrix(N) * Complex(0, Step.Tau)) * U;
   return U;
+}
+
+/// FNV-1a over the IEEE-754 bits of every entry, row-major.
+uint64_t matrixBitsHash(const TransitionMatrix &P) {
+  uint64_t Hash = serial::FNVOffset;
+  for (size_t I = 0; I < P.size(); ++I)
+    for (size_t J = 0; J < P.size(); ++J)
+      Hash = serial::fnv1aMixWord(Hash, serial::doubleBits(P.at(I, J)));
+  return Hash;
 }
 
 } // namespace
@@ -249,6 +260,54 @@ TEST(TransitionBuildersTest, PerturbationFlattensSpectrum) {
       TransitionMatrix::combine({&Pqd, &Pgc, &Prp}, {0.4, 0.3, 0.3});
   EXPECT_LE(Perturbed.secondEigenvalueMagnitude(),
             Pure.secondEigenvalueMagnitude() + 0.02);
+}
+
+TEST(RandomPerturbationJobsTest, BitIdenticalForEveryJobCount) {
+  // The rounds are solved concurrently, but each wave folds into the sum
+  // in ascending round order, so every entry keeps the serial bits.
+  RNG Gen(131);
+  Hamiltonian H = makeRandomHamiltonian(5, 14, Gen);
+  const size_t N = H.numTerms();
+  for (unsigned Rounds : {1u, 3u, 8u, 13u}) {
+    RNG RefRng(0x5EED + Rounds);
+    TransitionMatrix Ref = buildRandomPerturbation(H, Rounds, RefRng);
+    // The caller's generator has advanced by exactly one draw per
+    // (round, I, J) cell, as the serial loop left it.
+    RNG Drawn(0x5EED + Rounds);
+    for (size_t K = 0; K < Rounds * N * N; ++K)
+      Drawn.bernoulli(0.5);
+    const uint64_t RefNext = RefRng.next();
+    EXPECT_EQ(RefNext, Drawn.next()) << "rounds " << Rounds;
+    for (unsigned Jobs : {1u, 2u, 3u, 4u, 0u}) {
+      RNG Rng(0x5EED + Rounds);
+      TransitionMatrix P = buildRandomPerturbation(H, Rounds, Rng, {}, Jobs);
+      ASSERT_EQ(P.size(), N);
+      for (size_t I = 0; I < N; ++I)
+        for (size_t J = 0; J < N; ++J)
+          ASSERT_EQ(serial::doubleBits(P.at(I, J)),
+                    serial::doubleBits(Ref.at(I, J)))
+              << "rounds " << Rounds << " jobs " << Jobs << " entry (" << I
+              << ", " << J << ")";
+      EXPECT_EQ(Rng.next(), RefNext)
+          << "rounds " << Rounds << " jobs " << Jobs;
+    }
+  }
+}
+
+TEST(RandomPerturbationJobsTest, RegistryGoldenIsFrozen) {
+  // Captured from the serial round loop: Na+ (60 terms after the service's
+  // canonicalization) at the default 8 rounds and perturbation seed. Any
+  // change to the draw order, the flow network or the summation order
+  // moves these bits.
+  Hamiltonian H =
+      makeBenchmark(*findBenchmark("Na+")).merged().splitLargeTerms();
+  ASSERT_EQ(H.numTerms(), 60u);
+  for (unsigned Jobs : {1u, 4u, 0u}) {
+    RNG Rng(0x5EED);
+    TransitionMatrix Prp = buildRandomPerturbation(H, 8, Rng, {}, Jobs);
+    EXPECT_EQ(matrixBitsHash(Prp), 0xa615349dde3b7a38ULL) << "jobs " << Jobs;
+    EXPECT_EQ(Rng.next(), 0x84f51100a67c4320ULL) << "jobs " << Jobs;
+  }
 }
 
 TEST(TransitionBuildersTest, CommutationGroupingValid) {

@@ -30,6 +30,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -419,20 +420,31 @@ TEST(FleetTest, TwoWorkersBitIdenticalWithOneSolveFleetWide) {
   EXPECT_EQ(Dispatched, 3u);
   EXPECT_EQ(Report.Retries, 0u);
 
-  // The daemon-side fabric counters surfaced in the stats frame.
-  std::optional<server::DaemonClient> Client =
-      server::DaemonClient::connectTo(W1.hostPort(), &Error);
-  ASSERT_TRUE(Client) << Error;
-  std::optional<json::Value> Stats = Client->serverStats(&Error);
-  ASSERT_TRUE(Stats) << Error;
-  const json::Value *Fabric = Stats->find("fabric");
-  ASSERT_NE(Fabric, nullptr);
-  EXPECT_GE(Fabric->find("shard_submits")->asInt(), 1);
-  EXPECT_EQ(Fabric->find("shard_results")->asInt(),
-            Fabric->find("shard_submits")->asInt());
-  EXPECT_GE(Fabric->find("artifact_puts")->asInt(), 1);
-  EXPECT_GE(Fabric->find("artifact_misses")->asInt(), 1);
-  EXPECT_GT(Fabric->find("artifact_bytes_in")->asInt(), 0);
+  // The daemon-side fabric counters surfaced in each stats frame agree
+  // with the coordinator's view of that worker. Ranges go to whichever
+  // worker asks first, so one worker may have taken all three: compare
+  // per worker rather than assume a split.
+  for (const TestDaemon *W : {&W1, &W2}) {
+    auto WS = std::find_if(
+        Report.Fleet.Workers.begin(), Report.Fleet.Workers.end(),
+        [&](const FleetWorkerStats &S) { return S.HostPort == W->hostPort(); });
+    ASSERT_NE(WS, Report.Fleet.Workers.end()) << W->hostPort();
+    std::optional<server::DaemonClient> Client =
+        server::DaemonClient::connectTo(W->hostPort(), &Error);
+    ASSERT_TRUE(Client) << Error;
+    std::optional<json::Value> Stats = Client->serverStats(&Error);
+    ASSERT_TRUE(Stats) << Error;
+    const json::Value *Fabric = Stats->find("fabric");
+    ASSERT_NE(Fabric, nullptr);
+    EXPECT_EQ(Fabric->find("shard_submits")->asInt(),
+              static_cast<int64_t>(WS->RangesDispatched))
+        << W->hostPort();
+    EXPECT_EQ(Fabric->find("shard_results")->asInt(),
+              Fabric->find("shard_submits")->asInt());
+    EXPECT_GE(Fabric->find("artifact_puts")->asInt(), 1);
+    EXPECT_GE(Fabric->find("artifact_misses")->asInt(), 1);
+    EXPECT_GT(Fabric->find("artifact_bytes_in")->asInt(), 0);
+  }
 }
 
 TEST(FleetTest, SecondRunOverWarmWorkersFetchesNothing) {

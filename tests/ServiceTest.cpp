@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "hamgen/Registry.h"
 #include "service/SimulationService.h"
 #include "shard/ShardCoordinator.h"
 #include "support/Serial.h"
@@ -507,6 +508,34 @@ TEST(ServiceTaskTest, TrotterTasksReplicateDeterministically) {
   // No sampling artifacts were needed.
   EXPECT_EQ(Service.stats().GraphMisses, 0u);
   EXPECT_EQ(Service.stats().matrixMisses(), 0u);
+}
+
+TEST(ServiceTaskTest, GcRpCompileIsBitIdenticalAcrossJobs) {
+  // Spec.Jobs also fans a cold compile's Prp rounds over workers. A fresh
+  // service per job count makes each run solve Pgc and Prp itself.
+  TaskSpec Spec = testSpec(makeBenchmark(*findBenchmark("Na+")));
+  Spec.Mix = *ChannelMix::preset("gc-rp");
+  Spec.Shots = 8;
+  const unsigned JobCounts[] = {1, 4};
+  std::optional<TaskResult> Results[2];
+  std::shared_ptr<const HTTGraph> Graphs[2];
+  for (size_t K = 0; K < 2; ++K) {
+    SimulationService Service;
+    Spec.Jobs = JobCounts[K];
+    Results[K] = Service.run(Spec);
+    Graphs[K] = Service.graphFor(Spec);
+    ASSERT_TRUE(Results[K] && Graphs[K]) << "jobs " << JobCounts[K];
+    EXPECT_EQ(Results[K]->Stats.RPSolveMisses, 1u);
+  }
+  EXPECT_EQ(Results[0]->Batch.batchHash(), Results[1]->Batch.batchHash());
+  const TransitionMatrix &Serial = Graphs[0]->transitionMatrix();
+  const TransitionMatrix &Parallel = Graphs[1]->transitionMatrix();
+  ASSERT_EQ(Serial.size(), Parallel.size());
+  for (size_t I = 0; I < Serial.size(); ++I)
+    for (size_t J = 0; J < Serial.size(); ++J)
+      ASSERT_EQ(serial::doubleBits(Serial.at(I, J)),
+                serial::doubleBits(Parallel.at(I, J)))
+          << "entry (" << I << ", " << J << ")";
 }
 
 TEST(ServiceTaskTest, TrotterPreservesDeclaredTermOrder) {

@@ -534,16 +534,20 @@ int main(int Argc, char **Argv) {
     // Phase split of the batch: walk/emission (the sequential Markov part)
     // vs per-shot evaluation (the fidelity calls). Eval is CPU-seconds
     // summed per shot, so it can exceed the wall figure when shots run
-    // concurrently. For sharded runs the wall figure is the coordinator's
-    // whole run (spawn + workers + merge), not a batch clock, so the
-    // walk-vs-eval subtraction would be meaningless — only the summed
-    // worker eval time is reported there.
+    // concurrently; walk+emit = wall - eval only holds when they ran one
+    // at a time, so it is printed for single-worker batches only. For
+    // sharded runs the wall figure is the coordinator's whole run (spawn +
+    // workers + merge), not a batch clock — only the summed worker eval
+    // time is reported there.
     if (!Sharded) {
       const double Eval = Result->Batch.EvalSeconds;
-      const double Walk = std::max(0.0, Result->Batch.Seconds - Eval);
       std::cerr << "phase: wall=" << formatDouble(Result->Batch.Seconds)
-                << " s walk+emit=" << formatDouble(Walk)
-                << " s eval=" << formatDouble(Eval) << " s\n";
+                << " s";
+      if (Result->Batch.JobsUsed == 1)
+        std::cerr << " walk+emit="
+                  << formatDouble(std::max(0.0, Result->Batch.Seconds - Eval))
+                  << " s";
+      std::cerr << " eval-cpu=" << formatDouble(Eval) << " s\n";
     } else {
       std::cerr << "phase: coordinator-wall="
                 << formatDouble(Result->Batch.Seconds)
