@@ -8,31 +8,6 @@
 
 using namespace marqsim;
 
-void marqsim::appendBasisChange(Circuit &C, PauliOpKind Op, unsigned Q,
-                                bool Inverse) {
-  switch (Op) {
-  case PauliOpKind::I:
-  case PauliOpKind::Z:
-    return;
-  case PauliOpKind::X:
-    C.h(Q);
-    return;
-  case PauliOpKind::Y:
-    // W = H * Sdg diagonalizes Y: W Y W^dag = Z. Entering the Z basis
-    // applies W (circuit order Sdg then H); leaving applies W^dag = S * H
-    // (circuit order H then S).
-    if (!Inverse) {
-      C.sdg(Q);
-      C.h(Q);
-    } else {
-      C.h(Q);
-      C.s(Q);
-    }
-    return;
-  }
-  assert(false && "invalid PauliOpKind");
-}
-
 void marqsim::appendPauliRotation(Circuit &C, const PauliString &P,
                                   double Theta,
                                   const PauliSynthesisOptions &Options) {

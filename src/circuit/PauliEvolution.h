@@ -64,9 +64,37 @@ void appendPauliRotation(Circuit &C, const PauliString &P, double Theta,
 unsigned pauliRotationCNOTs(const PauliString &P);
 
 /// Appends the basis-change layer entering (\p Inverse = false) or leaving
-/// (\p Inverse = true) the Z basis for qubit \p Q of string \p P.
+/// (\p Inverse = true) the Z basis for qubit \p Q with operator \p Op.
 /// X -> H; Y -> Sdg,H entering and H,S leaving; Z/I -> nothing.
-void appendBasisChange(Circuit &C, PauliOpKind Op, unsigned Q, bool Inverse);
+///
+/// \p S is a gate sink: a Circuit, or any type with the same h/s/sdg
+/// builders, such as the emitter's counting sink. This is the one
+/// definition of the rule; the snippet synthesis above and the schedule
+/// emitter in `core` both call it.
+template <typename Sink>
+void appendBasisChange(Sink &S, PauliOpKind Op, unsigned Q, bool Inverse) {
+  switch (Op) {
+  case PauliOpKind::I:
+  case PauliOpKind::Z:
+    return;
+  case PauliOpKind::X:
+    S.h(Q);
+    return;
+  case PauliOpKind::Y:
+    // W = H * Sdg diagonalizes Y: W Y W^dag = Z. Entering the Z basis
+    // applies W (circuit order Sdg then H); leaving applies W^dag = S * H
+    // (circuit order H then S).
+    if (!Inverse) {
+      S.sdg(Q);
+      S.h(Q);
+    } else {
+      S.h(Q);
+      S.s(Q);
+    }
+    return;
+  }
+  assert(false && "invalid PauliOpKind");
+}
 
 } // namespace marqsim
 

@@ -23,7 +23,8 @@ size_t marqsim::qdriftSampleCount(double Lambda, double T, double Epsilon) {
 
 CompilationResult marqsim::materializePlan(const Hamiltonian &H,
                                            ShotPlan Plan,
-                                           const CompilationOptions &Opts) {
+                                           const CompilationOptions &Opts,
+                                           bool BuildCircuit) {
   assert((Plan.Taus.empty() || Plan.Taus.size() == Plan.Sequence.size()) &&
          "per-visit tau vector must match the sequence length");
   CompilationResult R;
@@ -48,8 +49,12 @@ CompilationResult marqsim::materializePlan(const Hamiltonian &H,
   }
   R.Sequence = std::move(Plan.Sequence);
 
-  R.Circ = emitSchedule(R.Schedule, H.numQubits(), Opts.Emit, &R.Stats);
-  R.Counts = R.Circ.counts();
+  if (BuildCircuit) {
+    R.Circ = emitSchedule(R.Schedule, H.numQubits(), Opts.Emit, &R.Stats);
+    R.Counts = R.Circ.counts();
+  } else {
+    R.Counts = countSchedule(R.Schedule, Opts.Emit, &R.Stats);
+  }
   return R;
 }
 

@@ -48,10 +48,15 @@ struct CompilationResult {
   /// Merged schedule: runs of equal consecutive terms folded together.
   std::vector<ScheduledRotation> Schedule;
 
-  /// The lowered circuit.
+  /// The lowered circuit. compileOne, compileBySampling, compileQDrift
+  /// and the baselines always fill it. A batch shot carries it only under
+  /// BatchRequest::KeepResults; otherwise it is empty and the shot was
+  /// counted, not emitted (see countSchedule).
   Circuit Circ;
 
-  /// Gate statistics of Circ.
+  /// Gate statistics of the lowered circuit. Always filled, whether or
+  /// not Circ holds the gates. Stats, Schedule and Sequence are always
+  /// filled too.
   GateCounts Counts;
 
   /// Cancellation accounting from the emitter.
@@ -90,9 +95,12 @@ CompilationResult compileBySampling(const HTTGraph &Graph, double T,
 
 /// Deterministic back end shared by all compilers and strategies: merges
 /// runs of equal consecutive terms into single rotations and lowers the
-/// schedule through the cancellation-aware emitter.
+/// schedule through the cancellation-aware emitter. With \p BuildCircuit
+/// false the schedule is only counted (countSchedule): Counts and Stats
+/// are identical, and Circ stays empty.
 CompilationResult materializePlan(const Hamiltonian &H, ShotPlan Plan,
-                                  const CompilationOptions &Opts = {});
+                                  const CompilationOptions &Opts = {},
+                                  bool BuildCircuit = true);
 
 /// Convenience form of materializePlan for the sampling compilers
 /// (tau_i = sgn(h_i) * TauStep per occurrence).

@@ -317,8 +317,9 @@ BatchResult CompilerEngine::compileBatch(const BatchRequest &Req) const {
   auto RunShot = [&](size_t Shot) {
     RNG Rng = RNG::forShot(Req.Seed, Req.FirstShot + Shot);
     ShotContext Ctx{Shot, Rng};
-    CompilationResult R = materializePlan(Strategy.hamiltonian(),
-                                          Strategy.produce(Ctx), Req.Opts);
+    CompilationResult R =
+        materializePlan(Strategy.hamiltonian(), Strategy.produce(Ctx),
+                        Req.Opts, /*BuildCircuit=*/Req.KeepResults);
     B.Shots[Shot] = summarizeShot(R);
     if (Req.PerShot)
       Req.PerShot(Shot, R);
@@ -333,8 +334,9 @@ BatchResult CompilerEngine::compileBatch(const BatchRequest &Req) const {
     // uniform.)
     RNG Rng = RNG::forShot(Req.Seed, Req.FirstShot);
     ShotContext Ctx{0, Rng};
-    CompilationResult R = materializePlan(Strategy.hamiltonian(),
-                                          Strategy.produce(Ctx), Req.Opts);
+    CompilationResult R =
+        materializePlan(Strategy.hamiltonian(), Strategy.produce(Ctx),
+                        Req.Opts, /*BuildCircuit=*/Req.KeepResults);
     B.Shots[0] = summarizeShot(R);
     for (size_t Shot = 1; Shot < Req.NumShots; ++Shot)
       B.Shots[Shot] = B.Shots[0];

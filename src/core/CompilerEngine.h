@@ -207,12 +207,19 @@ struct BatchRequest {
   /// Retain the full CompilationResult (circuit, schedule, sequence) of
   /// every shot in BatchResult::Results. Off by default: large batches
   /// only need the per-shot summaries.
+  ///
+  /// This is also the only switch that makes the engine build circuits.
+  /// Without it every shot is counted through countSchedule instead of
+  /// emitted: summaries are bit-identical, but no gate is allocated.
   bool KeepResults = false;
 
   /// Optional per-shot hook, invoked with (shot index, result) on the
   /// worker thread that compiled the shot. Lets callers consume each
   /// result (fidelity evaluation, exporting one circuit) without retaining
-  /// the whole batch via KeepResults. Invocations are concurrent across
+  /// the whole batch via KeepResults. The result's Counts, Stats, Schedule
+  /// and Sequence are always filled; its Circ holds the gates only under
+  /// KeepResults (a hook that exports a circuit without it re-emits the
+  /// schedule with emitSchedule). Invocations are concurrent across
   /// workers, so the hook must be thread-safe; the result reference is
   /// only valid for the duration of the call. For deterministic strategies
   /// the hook still fires once per shot, every time with the single

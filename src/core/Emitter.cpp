@@ -8,40 +8,53 @@
 
 using namespace marqsim;
 
+namespace {
+
+/// A gate sink that only counts: the gate-builder surface of Circuit that
+/// the lowering body uses, with no gate storage. Run through the same body
+/// as a Circuit, its totals equal Circuit::counts() of that circuit.
+struct GateCounter {
+  GateCounts Counts;
+
+  void h(unsigned) { ++Counts.SingleQubit; }
+  void s(unsigned) { ++Counts.SingleQubit; }
+  void sdg(unsigned) { ++Counts.SingleQubit; }
+  void rz(unsigned, double) { ++Counts.SingleQubit; }
+  void cnot(unsigned, unsigned) { ++Counts.CNOTs; }
+};
+
 /// Mask of qubits where \p A and \p B carry the same non-identity operator.
-static uint64_t matchedMask(const PauliString &A, const PauliString &B) {
+uint64_t matchedMask(const PauliString &A, const PauliString &B) {
   uint64_t SameX = ~(A.xMask() ^ B.xMask());
   uint64_t SameZ = ~(A.zMask() ^ B.zMask());
   return SameX & SameZ & A.supportMask() & B.supportMask();
 }
 
-/// Number of basis-change gates for operator \p K (H costs 1, the Y pair
-/// costs 2, Z/I cost 0) — used only for cancellation statistics.
-static unsigned basisGateCount(PauliOpKind K) {
-  switch (K) {
-  case PauliOpKind::I:
-  case PauliOpKind::Z:
-    return 0;
-  case PauliOpKind::X:
-    return 1;
-  case PauliOpKind::Y:
-    return 2;
-  }
-  return 0;
+/// Single-qubit gates one basis-change layer spends on operator \p K (H
+/// costs 1, the Y pair costs 2, Z/I cost 0) — used only for cancellation
+/// statistics, and read off the rule itself so the two cannot drift.
+unsigned basisGateCount(PauliOpKind K) {
+  GateCounter C;
+  appendBasisChange(C, K, 0, /*Inverse=*/false);
+  return static_cast<unsigned>(C.Counts.SingleQubit);
 }
 
-static unsigned highestBit(uint64_t Mask) {
+unsigned highestBit(uint64_t Mask) {
   assert(Mask != 0 && "highestBit of zero mask");
   return 63 - __builtin_clzll(Mask);
 }
 
-Circuit marqsim::emitSchedule(const std::vector<ScheduledRotation> &Schedule,
-                              unsigned NumQubits, const EmitOptions &Opts,
-                              EmitStats *Stats) {
-  Circuit C(NumQubits);
-  if (Stats)
-    *Stats = EmitStats();
+unsigned lowestBit(uint64_t Mask) {
+  assert(Mask != 0 && "lowestBit of zero mask");
+  return static_cast<unsigned>(__builtin_ctzll(Mask));
+}
 
+/// The lowering body, shared by emitSchedule (Sink = Circuit) and
+/// countSchedule (Sink = GateCounter). Every qubit loop walks set bits in
+/// ascending order, so the gate order is the order of a 0..n-1 scan.
+template <typename Sink>
+void lowerSchedule(Sink &Out, const std::vector<ScheduledRotation> &Schedule,
+                   const EmitOptions &Opts, EmitStats *Stats) {
   // Normalize: drop identity strings (global phase only) and fold runs of
   // equal strings into one rotation (paper Section 5.2: CNOT_count(i,i)=0).
   std::vector<ScheduledRotation> Steps;
@@ -57,22 +70,20 @@ Circuit marqsim::emitSchedule(const std::vector<ScheduledRotation> &Schedule,
 
   PauliString Prev;
   unsigned PrevRoot = 0;
+  // Local accumulators: the counting sink's totals then stay in registers
+  // instead of being reloaded around every store through Stats.
+  size_t CancelledCNOTs = 0, CancelledSingles = 0;
 
   // Emits the trailing half of the previous snippet (ladder + leave layer),
   // skipping the gates cancelled against the incoming string.
   auto FlushPrevTail = [&](uint64_t SkipCNOTMask, uint64_t SkipBasisMask) {
-    uint64_t Support = Prev.supportMask();
-    for (unsigned Q = 0; Q < NumQubits; ++Q) {
-      if (Q == PrevRoot || !((Support >> Q) & 1))
-        continue;
-      if ((SkipCNOTMask >> Q) & 1)
-        continue;
-      C.cnot(Q, PrevRoot);
-    }
-    for (unsigned Q = 0; Q < NumQubits; ++Q) {
-      if (!((Support >> Q) & 1) || ((SkipBasisMask >> Q) & 1))
-        continue;
-      appendBasisChange(C, Prev.op(Q), Q, /*Inverse=*/true);
+    const uint64_t Support = Prev.supportMask();
+    for (uint64_t M = Support & ~SkipCNOTMask & ~(1ULL << PrevRoot); M != 0;
+         M &= M - 1)
+      Out.cnot(lowestBit(M), PrevRoot);
+    for (uint64_t M = Support & ~SkipBasisMask; M != 0; M &= M - 1) {
+      unsigned Q = lowestBit(M);
+      appendBasisChange(Out, Prev.op(Q), Q, /*Inverse=*/true);
     }
   };
 
@@ -109,33 +120,24 @@ Circuit marqsim::emitSchedule(const std::vector<ScheduledRotation> &Schedule,
     }
 
     if (K > 0) {
+      // Both masks are empty without cross-cancellation.
       FlushPrevTail(CancelCNOTs, MPrev);
-      if (Stats && Opts.CrossCancellation) {
-        Stats->CancelledCNOTs += 2 * __builtin_popcountll(CancelCNOTs);
-        for (unsigned Q = 0; Q < NumQubits; ++Q)
-          if ((MPrev >> Q) & 1)
-            Stats->CancelledSingles += 2 * basisGateCount(P.op(Q));
-      }
+      CancelledCNOTs += 2 * __builtin_popcountll(CancelCNOTs);
+      for (uint64_t M = MPrev; M != 0; M &= M - 1)
+        CancelledSingles += 2 * basisGateCount(P.op(lowestBit(M)));
     }
 
     // Enter layer for qubits whose basis change was not cancelled.
-    for (unsigned Q = 0; Q < NumQubits; ++Q) {
-      if (!((Support >> Q) & 1))
-        continue;
-      if ((MPrev >> Q) & 1)
-        continue;
-      appendBasisChange(C, P.op(Q), Q, /*Inverse=*/false);
+    for (uint64_t M = Support & ~MPrev; M != 0; M &= M - 1) {
+      unsigned Q = lowestBit(M);
+      appendBasisChange(Out, P.op(Q), Q, /*Inverse=*/false);
     }
     // Leading ladder minus cancelled pairs.
-    for (unsigned Q = 0; Q < NumQubits; ++Q) {
-      if (Q == Root || !((Support >> Q) & 1))
-        continue;
-      if ((CancelCNOTs >> Q) & 1)
-        continue;
-      C.cnot(Q, Root);
-    }
+    for (uint64_t M = Support & ~CancelCNOTs & ~(1ULL << Root); M != 0;
+         M &= M - 1)
+      Out.cnot(lowestBit(M), Root);
     // Rz(-2 tau) realizes exp(i tau P) (Rz(phi) = e^{-i phi Z / 2}).
-    C.rz(Root, -2.0 * Steps[K].Tau);
+    Out.rz(Root, -2.0 * Steps[K].Tau);
 
     Prev = P;
     PrevRoot = Root;
@@ -143,5 +145,26 @@ Circuit marqsim::emitSchedule(const std::vector<ScheduledRotation> &Schedule,
 
   if (!Steps.empty())
     FlushPrevTail(/*SkipCNOTMask=*/0, /*SkipBasisMask=*/0);
+  if (Stats) {
+    Stats->CancelledCNOTs = CancelledCNOTs;
+    Stats->CancelledSingles = CancelledSingles;
+  }
+}
+
+} // namespace
+
+Circuit marqsim::emitSchedule(const std::vector<ScheduledRotation> &Schedule,
+                              unsigned NumQubits, const EmitOptions &Opts,
+                              EmitStats *Stats) {
+  Circuit C(NumQubits);
+  lowerSchedule(C, Schedule, Opts, Stats);
   return C;
+}
+
+GateCounts
+marqsim::countSchedule(const std::vector<ScheduledRotation> &Schedule,
+                       const EmitOptions &Opts, EmitStats *Stats) {
+  GateCounter C;
+  lowerSchedule(C, Schedule, Opts, Stats);
+  return C.Counts;
 }

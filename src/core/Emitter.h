@@ -57,6 +57,13 @@ Circuit emitSchedule(const std::vector<ScheduledRotation> &Schedule,
                      unsigned NumQubits, const EmitOptions &Opts = {},
                      EmitStats *Stats = nullptr);
 
+/// Gate counts and \p Stats of the circuit emitSchedule would build, with
+/// no gate allocated: both run one lowering body over different gate
+/// sinks, so the result equals emitSchedule(...).counts() exactly.
+GateCounts countSchedule(const std::vector<ScheduledRotation> &Schedule,
+                         const EmitOptions &Opts = {},
+                         EmitStats *Stats = nullptr);
+
 } // namespace marqsim
 
 #endif // MARQSIM_CORE_EMITTER_H

@@ -617,8 +617,14 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
         }
         EvalSecs[Shot] = EvalClock.seconds();
       }
-      if (WantShotZero && Shot == 0)
+      if (WantShotZero && Shot == 0) {
         Result.ShotZero = R; // single writer: shot 0's worker only
+        // Without KeepResults the batch only counted its shots; emit the
+        // one exported circuit from its schedule (counts already match).
+        if (!Req.KeepResults)
+          Result.ShotZero.Circ = emitSchedule(R.Schedule, H.numQubits(),
+                                              Spec.Lowering.Emit);
+      }
     };
   }
 

@@ -440,6 +440,68 @@ TEST(EmitterTest, CancellationNeverChangesUnitary) {
   }
 }
 
+/// Asserts countSchedule reproduces emitSchedule's counts and statistics
+/// for \p Schedule, with cross-snippet cancellation on and off.
+static void expectCountSinkMatches(
+    const std::vector<ScheduledRotation> &Schedule, unsigned NumQubits) {
+  for (bool Cancel : {true, false}) {
+    EmitOptions Opts;
+    Opts.CrossCancellation = Cancel;
+    EmitStats Emitted, Counted;
+    GateCounts FromCircuit =
+        emitSchedule(Schedule, NumQubits, Opts, &Emitted).counts();
+    GateCounts FromSink = countSchedule(Schedule, Opts, &Counted);
+    EXPECT_EQ(FromSink.CNOTs, FromCircuit.CNOTs) << "cancel " << Cancel;
+    EXPECT_EQ(FromSink.SingleQubit, FromCircuit.SingleQubit)
+        << "cancel " << Cancel;
+    EXPECT_EQ(Counted.CancelledCNOTs, Emitted.CancelledCNOTs)
+        << "cancel " << Cancel;
+    EXPECT_EQ(Counted.CancelledSingles, Emitted.CancelledSingles)
+        << "cancel " << Cancel;
+  }
+}
+
+/// A random schedule over \p H's strings that also exercises the
+/// emitter's normalization: identity strings between rotations and runs
+/// of one string left unmerged.
+static std::vector<ScheduledRotation> messySchedule(const Hamiltonian &H,
+                                                    size_t Length, RNG &Rng) {
+  std::vector<ScheduledRotation> Schedule;
+  for (size_t K = 0; K < Length; ++K) {
+    double U = Rng.uniform();
+    if (U < 0.05)
+      Schedule.emplace_back(PauliString(), Rng.uniform(-0.3, 0.3));
+    else if (U < 0.2 && !Schedule.empty())
+      Schedule.push_back(Schedule.back());
+    else
+      Schedule.emplace_back(H.term(Rng.uniformInt(H.numTerms())).String,
+                            Rng.uniform(-0.3, 0.3));
+  }
+  return Schedule;
+}
+
+TEST(EmitterTest, CountSinkMatchesEmittedCircuit) {
+  RNG Rng(2026);
+  size_t Models = 0;
+  for (const BenchmarkSpec &Spec : paperBenchmarks()) {
+    if (Spec.Qubits > 10)
+      continue;
+    SCOPED_TRACE(Spec.Name);
+    ++Models;
+    Hamiltonian H = makeBenchmark(Spec);
+    expectCountSinkMatches(messySchedule(H, 400, Rng), H.numQubits());
+  }
+  EXPECT_GE(Models, 8u);
+  for (unsigned Qubits : {2u, 3u, 6u, 10u}) {
+    SCOPED_TRACE(Qubits);
+    Hamiltonian H = makeRandomHamiltonian(Qubits, 12, Rng);
+    expectCountSinkMatches(messySchedule(H, 300, Rng), Qubits);
+  }
+  // Degenerate schedules: nothing to emit at all.
+  expectCountSinkMatches({}, 3);
+  expectCountSinkMatches({{PauliString(), 0.2}, {PauliString(), -0.1}}, 3);
+}
+
 struct EmitterSweepCase {
   unsigned Qubits;
   size_t Terms;

@@ -14,8 +14,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "circuit/QasmExport.h"
 #include "core/CompilerEngine.h"
 #include "core/TransitionBuilders.h"
+#include "hamgen/Registry.h"
 #include "sim/Fidelity.h"
 #include "support/Serial.h"
 #include "support/ThreadPool.h"
@@ -309,6 +311,61 @@ TEST(SamplerRegressionTest, BatchHashesAreFrozen) {
   EXPECT_EQ(Engine.compileBatch(Req).batchHash(), 4882182761049389600ULL);
 }
 
+/// A 16-shot GC batch over the Na+ registry model: the fixture of the
+/// emission goldens and the KeepResults contract below.
+static BatchRequest naGcBatch(bool KeepResults, unsigned Jobs) {
+  BenchmarkSpec Spec = *findBenchmark("Na+");
+  Hamiltonian H = makeBenchmark(Spec);
+  TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
+  auto Graph = std::make_shared<const HTTGraph>(std::move(H), std::move(P));
+  BatchRequest Req;
+  Req.Strategy = std::make_shared<const SamplingStrategy>(Graph, Spec.Time,
+                                                          /*Epsilon=*/0.1);
+  Req.NumShots = 16;
+  Req.Seed = 1313;
+  Req.Jobs = Jobs;
+  Req.KeepResults = KeepResults;
+  return Req;
+}
+
+TEST(SamplerRegressionTest, EmissionGoldenIsFrozen) {
+  // Pins the lowering itself: the gate order of shot 0 (through its QASM
+  // bytes) and every shot's gate counts and cancellation accounting. A
+  // batch that only counts its shots (no KeepResults) must reproduce the
+  // counts without building a circuit.
+  struct ShotGolden {
+    size_t CNOTs, Singles, CancelledCNOTs, CancelledSingles;
+  };
+  const ShotGolden Golden[] = {
+      {1962, 3777, 452, 676},  {2036, 4158, 406, 698},
+      {2180, 4077, 594, 948},  {2422, 4563, 498, 842},
+      {2324, 4391, 592, 962},  {2400, 4154, 612, 868},
+      {2168, 4228, 484, 686},  {2268, 4173, 512, 794},
+      {2380, 4302, 696, 1036}, {2078, 4019, 546, 802},
+      {2096, 3933, 660, 1032}, {2130, 3948, 574, 852},
+      {2090, 4039, 636, 1014}, {2344, 4432, 594, 866},
+      {2312, 4078, 816, 1336}, {2110, 4169, 494, 778},
+  };
+  for (bool Keep : {true, false}) {
+    BatchResult Batch = CompilerEngine().compileBatch(naGcBatch(Keep, 4));
+    EXPECT_EQ(Batch.batchHash(), 8930725911596340690ULL);
+    ASSERT_EQ(Batch.Shots.size(), std::size(Golden));
+    for (size_t I = 0; I < std::size(Golden); ++I) {
+      const ShotSummary &S = Batch.Shots[I];
+      EXPECT_EQ(S.Counts.CNOTs, Golden[I].CNOTs) << "shot " << I;
+      EXPECT_EQ(S.Counts.SingleQubit, Golden[I].Singles) << "shot " << I;
+      EXPECT_EQ(S.Stats.CancelledCNOTs, Golden[I].CancelledCNOTs)
+          << "shot " << I;
+      EXPECT_EQ(S.Stats.CancelledSingles, Golden[I].CancelledSingles)
+          << "shot " << I;
+    }
+    if (Keep) {
+      EXPECT_EQ(serial::fnv1a(toQasm(Batch.Results[0].Circ)),
+                9668551894975840959ULL);
+    }
+  }
+}
+
 TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
   // End-to-end pin over the evaluation substrate: the Markov walk, the
   // fused Pauli kernels (butterfly + diagonal fast path), the StatePanel
@@ -454,6 +511,53 @@ TEST(CompilerEngineTest, DeterministicStrategyReplicatesOneShot) {
       compileTrotter2(H, 0.7, 4, TermOrderKind::Lexicographic);
   EXPECT_EQ(Legacy.Sequence, Batch.Results[0].Sequence);
   EXPECT_EQ(Legacy.Counts.CNOTs, Batch.Results[0].Counts.CNOTs);
+}
+
+/// Asserts two batches carry bit-identical shot summaries.
+static void expectSameShots(const BatchResult &A, const BatchResult &B) {
+  EXPECT_EQ(A.batchHash(), B.batchHash());
+  ASSERT_EQ(A.Shots.size(), B.Shots.size());
+  for (size_t I = 0; I < A.Shots.size(); ++I) {
+    const ShotSummary &X = A.Shots[I], &Y = B.Shots[I];
+    EXPECT_EQ(X.SequenceHash, Y.SequenceHash) << "shot " << I;
+    EXPECT_EQ(X.NumSamples, Y.NumSamples) << "shot " << I;
+    EXPECT_EQ(X.Counts.CNOTs, Y.Counts.CNOTs) << "shot " << I;
+    EXPECT_EQ(X.Counts.SingleQubit, Y.Counts.SingleQubit) << "shot " << I;
+    EXPECT_EQ(X.Stats.CancelledCNOTs, Y.Stats.CancelledCNOTs) << "shot " << I;
+    EXPECT_EQ(X.Stats.CancelledSingles, Y.Stats.CancelledSingles)
+        << "shot " << I;
+  }
+}
+
+TEST(CompilerEngineTest, KeepResultsOnlyDecidesWhetherCircuitsAreBuilt) {
+  // Without KeepResults the engine counts shots instead of emitting them;
+  // the summaries must not notice, at any job count, on the sampled and
+  // the deterministic path. Kept circuits must agree with the counts.
+  auto Trotter = std::make_shared<const TrotterStrategy>(
+      testHamiltonian(), 0.7, 4, TermOrderKind::Lexicographic, 2);
+  CompilerEngine Engine;
+  for (bool Deterministic : {false, true}) {
+    SCOPED_TRACE(Deterministic ? "trotter2" : "sampling");
+    auto Request = [&](bool Keep, unsigned Jobs) {
+      BatchRequest Req = naGcBatch(Keep, Jobs);
+      if (Deterministic)
+        Req.Strategy = Trotter;
+      return Req;
+    };
+    const BatchResult Reference = Engine.compileBatch(Request(true, 1));
+    for (unsigned Jobs : {1u, 4u})
+      for (bool Keep : {false, true}) {
+        BatchResult Batch = Engine.compileBatch(Request(Keep, Jobs));
+        expectSameShots(Reference, Batch);
+        ASSERT_EQ(Batch.Results.size(), Keep ? Batch.NumShots : 0u);
+        for (size_t K = 0; K < Batch.Results.size(); ++K) {
+          GateCounts C = Batch.Results[K].Circ.counts();
+          EXPECT_EQ(C.CNOTs, Batch.Shots[K].Counts.CNOTs) << "shot " << K;
+          EXPECT_EQ(C.SingleQubit, Batch.Shots[K].Counts.SingleQubit)
+              << "shot " << K;
+        }
+      }
+  }
 }
 
 TEST(CompilerEngineTest, PerShotHookSeesEveryShotOnce) {

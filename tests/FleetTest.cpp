@@ -549,10 +549,43 @@ TEST(FleetTest, CorruptShardResultIsRejectedAndReRun) {
     return claimAllArtifacts(S, F);
   });
 
+  // Ranges go to whichever worker asks first, so the honest daemon could
+  // drain all three before the liar asks for one. A relay in front of it
+  // holds the honest worker's first shard-submit until the liar has
+  // received a range, and forwards everything else untouched.
+  std::optional<Socket> Upstream;
+  bool Held = false;
+  FakeWorker Relay([&](Socket &S, const Frame &F) {
+    if (!Upstream)
+      Upstream = Socket::connectTo("127.0.0.1", Honest.D.port());
+    if (!Upstream)
+      return false;
+    const bool Submit = F.Type == "shard-submit";
+    if (Submit && !Held) {
+      Held = true;
+      for (int Waited = 0; Lies == 0 && Waited < 30000; ++Waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!Upstream->sendAll(server::encodeFrame(F.Type, F.Body)))
+      return false;
+    // A shard-submit is answered by "accepted" and then its result (or an
+    // error); every other request by exactly one frame.
+    std::string Line;
+    for (;;) {
+      if (Upstream->readLine(Line, server::MaxResponseFrameBytes) !=
+              Socket::ReadStatus::Line ||
+          !S.sendAll(Line + "\n"))
+        return false;
+      std::optional<Frame> Answer = server::decodeFrame(Line);
+      if (!Submit || !Answer || Answer->Type != "accepted")
+        return true;
+    }
+  });
+
   ShardOptions Options;
   Options.ShardCount = 3;
   Options.WorkDir = freshDir("fleet_corrupt_result");
-  Options.Workers = {Honest.hostPort(), Liar.hostPort()};
+  Options.Workers = {Relay.hostPort(), Liar.hostPort()};
   ShardCoordinator Coordinator(Options);
   std::string Error;
   ShardReport Report;
@@ -561,6 +594,8 @@ TEST(FleetTest, CorruptShardResultIsRejectedAndReRun) {
   expectBitIdentical(*Single, *Merged);
   EXPECT_EQ(Lies, 1);
   EXPECT_GE(Report.Retries, 1u);
+  ASSERT_EQ(Report.Fleet.Workers.size(), 2u);
+  EXPECT_GE(Report.Fleet.Workers[0].RangesDispatched, 1u);
   bool SawRejection = false;
   for (const std::string &Note : Report.Notes)
     SawRejection |=

@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "circuit/QasmExport.h"
 #include "hamgen/Registry.h"
 #include "service/SimulationService.h"
 #include "shard/ShardCoordinator.h"
@@ -487,6 +488,51 @@ TEST(ServiceTaskTest, ShotZeroMatchesRetainedResults) {
   ASSERT_TRUE(R->HasShotZero);
   EXPECT_EQ(R->ShotZero.Sequence, R->Batch.Results[0].Sequence);
   EXPECT_EQ(R->ShotZero.Counts.CNOTs, R->Batch.Results[0].Counts.CNOTs);
+}
+
+TEST(ServiceTaskTest, ShotZeroCircuitMatchesCompileOneWithoutKeepResults) {
+  // Without KeepResults the batch only counts its shots; the exported
+  // shot-zero circuit is re-emitted from its schedule and must be the
+  // exact circuit compileOne builds, down to the QASM bytes.
+  TaskSpec Sampled = testSpec(makeBenchmark(*findBenchmark("Na+")));
+  Sampled.Mix = *ChannelMix::preset("gc-rp");
+  TaskSpec Trotter;
+  Trotter.Source = HamiltonianSource::fromHamiltonian(testHamiltonian());
+  Trotter.Method = TaskMethod::Trotter;
+  Trotter.Time = 0.7;
+  Trotter.TrotterReps = 4;
+  Trotter.TrotterOrder = 2;
+  Trotter.Order = TermOrderKind::Lexicographic;
+  Trotter.Shots = 3;
+  for (TaskSpec *Spec : {&Sampled, &Trotter}) {
+    SCOPED_TRACE(Spec == &Sampled ? "gc-rp" : "trotter2");
+    Spec->Jobs = 4;
+    Spec->Evaluate.ExportShotZero = true;
+    SimulationService Service;
+    std::optional<TaskResult> R = Service.run(*Spec);
+    ASSERT_TRUE(R && R->HasShotZero);
+    EXPECT_TRUE(R->Batch.Results.empty());
+
+    std::shared_ptr<const ScheduleStrategy> Strategy;
+    if (Spec == &Sampled) {
+      std::shared_ptr<const HTTGraph> Graph = Service.graphFor(*Spec);
+      ASSERT_TRUE(Graph);
+      Strategy = std::make_shared<const SamplingStrategy>(
+          Graph, Spec->Time, Spec->Epsilon, Spec->UseCDF);
+    } else {
+      std::optional<Hamiltonian> H = SimulationService::resolveHamiltonian(
+          Spec->Source, nullptr, /*Canonicalize=*/false);
+      ASSERT_TRUE(H);
+      Strategy = std::make_shared<const TrotterStrategy>(
+          *H, Spec->Time, Spec->TrotterReps, Spec->Order, Spec->TrotterOrder);
+    }
+    CompilationResult One =
+        CompilerEngine().compileOne(*Strategy, Spec->Seed, Spec->Lowering);
+    EXPECT_EQ(toQasm(R->ShotZero.Circ), toQasm(One.Circ));
+    EXPECT_EQ(R->ShotZero.Counts.CNOTs, One.Circ.counts().CNOTs);
+    EXPECT_EQ(R->ShotZero.Counts.SingleQubit, One.Circ.counts().SingleQubit);
+    EXPECT_EQ(R->Batch.Shots[0].Counts.CNOTs, One.Counts.CNOTs);
+  }
 }
 
 TEST(ServiceTaskTest, TrotterTasksReplicateDeterministically) {
