@@ -356,13 +356,7 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
       }
       ShotRange Range{static_cast<size_t>(Begin->asInt()),
                       static_cast<size_t>(Count->asInt())};
-      // Mirror the single-host worker path (ShardCoordinator::runShard):
-      // per-shot extras cannot travel through a manifest, so the worker
-      // never computes them. contentKey ignores these flags, so the
-      // manifest's SpecKey still matches the coordinator's spec.
-      Spec->Evaluate.ExportShotZero = false;
-      Spec->Evaluate.KeepResults = false;
-      Spec->Evaluate.DumpDot = false;
+      Spec = ShardManifest::workerSpec(std::move(*Spec));
 
       uint64_t DeadlineMs = 0;
       if (const json::Value *D = F->Body.find("deadline_ms"))

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The cross-process scaling layer: split a TaskSpec's shot range over K
-/// workers, run each range through SimulationService (in a re-exec'd
-/// marqsim-cli or in-process), and merge the resulting ShardManifests back
-/// into the TaskResult a single-process run of the same spec produces —
-/// bit-identically, for any K.
+/// workers, run each range through SimulationService (in-process, in a
+/// re-exec'd marqsim-cli, or on a marqsim-daemon fleet worker), and merge
+/// the resulting ShardManifests back into the TaskResult a single-process
+/// run of the same spec produces — bit-identically, for any K.
 ///
 /// The bit-identity argument is the same one that makes --jobs free of
 /// scheduling noise: shot k always draws from the counter-based substream
@@ -27,12 +27,24 @@
 /// alias bundle and fidelity target columns from disk instead of
 /// rebuilding them.
 ///
-/// Failure handling: manifests are validated (checksum, fingerprint, shot
-/// range, range hash) before merging. A missing, corrupt, truncated, or
-/// mismatched manifest is reported in ShardReport::Notes, its file is
-/// discarded, and the range is re-run — up to ShardOptions::MaxAttempts
-/// launch rounds. Valid manifests already present in the work directory
-/// are reused, which doubles as crash recovery for interrupted sweeps.
+/// Every mode runs through one dispatch loop. A collect pass first reuses
+/// the valid manifests already in the work directory (crash recovery for
+/// interrupted sweeps); the remaining ranges go into a shared queue that
+/// feeds N slots: one in-process slot, one re-exec'd marqsim-cli per
+/// shard, or one connection per fleet worker. Out-of-process workers get
+/// the spec as TaskSpec JSON (the file WorkDir/spec.json for subprocesses,
+/// shard-submit frames for the fleet), which carries every field bit for
+/// bit, so the worker's spec is the coordinator's.
+///
+/// Failure handling: every manifest passes one gate (checksum,
+/// fingerprint, seed, SpecKey, shot range, fidelity presence) before it
+/// can merge. A missing, corrupt, truncated or mismatched manifest, or a
+/// worker process that exits non-zero, is reported in ShardReport::Notes,
+/// its file is discarded, and the range is charged one attempt and
+/// re-queued; a range that fails ShardOptions::MaxAttempts times aborts
+/// the run. A fleet worker that dies or times out costs its range no
+/// attempt: the range goes back to the front of the queue for the
+/// survivors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,16 +73,20 @@ struct ShardOptions {
   std::string CacheDir;
 
   /// In-memory cache budget per process (coordinator and workers), in
-  /// bytes; 0 means unbounded. Travels to re-exec'd workers as a hidden
-  /// flag. Eviction never changes results, only recompute counts.
+  /// bytes; 0 means unbounded. Travels to re-exec'd workers as the hidden
+  /// --cache-limit-bytes flag. Eviction never changes results, only
+  /// recompute counts.
   size_t CacheLimitBytes = 0;
 
   /// The marqsim-cli binary to re-exec per shard. Empty runs every shard
   /// in-process through one shared service (library use and tests).
+  /// Ignored when Workers is set.
   std::string WorkerBinary;
 
-  /// Launch rounds per range before giving up (>= 1). A range whose
-  /// manifest fails validation is re-run in the next round.
+  /// Attempts per range before the run aborts (>= 1). Each failed,
+  /// corrupt or mismatched result of a range charges that range one
+  /// attempt and re-queues it; a range whose fleet worker died is
+  /// re-queued at no charge.
   unsigned MaxAttempts = 2;
 
   /// Remote marqsim-daemon workers ("host:port"). Non-empty selects fleet
@@ -134,7 +150,8 @@ struct FleetStats {
 struct ShardReport {
   ShardPlan Plan;
 
-  /// Ranges launched beyond the first round (failed validations).
+  /// Dispatches of a range that had been dispatched before (after a
+  /// failed attempt or a dead fleet worker).
   unsigned Retries = 0;
 
   /// Manifests reused from a previous run in the work directory.
@@ -168,15 +185,17 @@ public:
   /// through a manifest (KeepResults, ExportShotZero, DumpDot) are
   /// rejected; compile those separately (a one-shot ranged run suffices
   /// for shot 0). Returns std::nullopt and fills \p Error when a range
-  /// still has no valid manifest after MaxAttempts rounds.
+  /// still has no valid manifest after MaxAttempts attempts, or when no
+  /// fleet worker is left alive.
   std::optional<TaskResult> run(const TaskSpec &Spec,
                                 std::string *Error = nullptr,
                                 ShardReport *Report = nullptr);
 
-  /// Worker-side entry point: compiles shard \p Index of \p Count through
-  /// \p Service (global shot indices, so seeding matches the full batch)
-  /// and packages the manifest. marqsim-cli's hidden worker mode is a
-  /// thin shell around this.
+  /// Worker-side entry point: compiles shard \p Index of \p Count of
+  /// ShardManifest::workerSpec(\p Spec) through \p Service (global shot
+  /// indices, so seeding matches the full batch) and packages the
+  /// manifest. marqsim-cli's hidden worker mode is a thin shell around
+  /// this.
   static std::optional<ShardManifest> runShard(SimulationService &Service,
                                                const TaskSpec &Spec,
                                                unsigned Index,
@@ -193,33 +212,11 @@ public:
                                          std::vector<ShardManifest> Manifests,
                                          std::string *Error = nullptr);
 
-  /// The re-exec command line of one shard worker: the spec-defining
-  /// flags (weights, time, and epsilon travel as IEEE-754 bit patterns so
-  /// the worker's spec is bit-identical to \p Spec), the shard triple,
-  /// the shared cache directory, and the in-memory cache budget
-  /// (\p CacheLimitBytes, 0 = unbounded). Fails for specs a command line
-  /// cannot express (inline Hamiltonians, non-sampling methods, custom
-  /// lowering options).
-  static std::optional<std::vector<std::string>>
-  workerArgs(const std::string &Binary, const TaskSpec &Spec, unsigned Index,
-             unsigned Count, const std::string &ManifestPath,
-             const std::string &CacheDir, size_t CacheLimitBytes = 0,
-             std::string *Error = nullptr);
-
   /// Manifest path of shard \p Index under \p WorkDir.
   static std::string manifestPath(const std::string &WorkDir,
                                   unsigned Index);
 
 private:
-  /// The networked dispatch loop behind run() when Options.Workers is
-  /// non-empty: connect (with retry/backoff), warm each worker through
-  /// artifact-get/artifact-put, dispatch ranges as shard-submit frames
-  /// from a shared pending queue, validate every returned manifest, and
-  /// re-dispatch ranges of dead or lying workers to the survivors.
-  std::optional<TaskResult> runFleet(const TaskSpec &Spec,
-                                     const Hamiltonian &H, ShardReport &R,
-                                     std::string *Error);
-
   ShardOptions Options;
 };
 

@@ -223,6 +223,13 @@ std::optional<ShardManifest> ShardManifest::readFile(const std::string &Path,
   return parse(Buf.str(), Error);
 }
 
+TaskSpec ShardManifest::workerSpec(TaskSpec Spec) {
+  Spec.Evaluate.ExportShotZero = false;
+  Spec.Evaluate.KeepResults = false;
+  Spec.Evaluate.DumpDot = false;
+  return Spec;
+}
+
 ShardManifest ShardManifest::fromTaskResult(const TaskSpec &Spec,
                                             const ShotRange &Range,
                                             const TaskResult &Result) {

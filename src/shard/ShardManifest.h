@@ -103,6 +103,13 @@ struct ShardManifest {
   static std::optional<ShardManifest> readFile(const std::string &Path,
                                                std::string *Error = nullptr);
 
+  /// The spec a shard worker runs for \p Spec: per-shot artifacts that
+  /// cannot travel through a manifest (ExportShotZero, KeepResults,
+  /// DumpDot) are dropped, not rejected, since a worker owes the
+  /// coordinator summaries only. contentKey ignores these flags, so the
+  /// worker's manifest still carries the coordinator's SpecKey.
+  static TaskSpec workerSpec(TaskSpec Spec);
+
   /// Builds the manifest of \p Range from a ranged service run of \p Spec.
   static ShardManifest fromTaskResult(const TaskSpec &Spec,
                                       const ShotRange &Range,

@@ -427,23 +427,14 @@ TEST(ServiceFidelityTest, EvalJobsBitIdenticalAndTimed) {
 }
 
 TEST(ServiceFidelityTest, EvalJobsTravelsThroughShardWorkersByteIdentically) {
-  // The within-shot knob must survive the shard path end to end: it is
-  // placed on the worker command line, and a sharded run under any
-  // EvalJobs merges to the exact bytes of the single-process run.
+  // The within-shot knob must survive the shard path end to end: it
+  // travels in the worker's TaskSpec JSON (round-tripped by
+  // TaskSpecJsonTest), and a sharded run under any EvalJobs merges to the
+  // exact bytes of the single-process run.
   TaskSpec Spec = testSpec(testHamiltonian());
   Spec.Shots = 5;
   Spec.Evaluate.FidelityColumns = 12;
   Spec.EvalJobs = 3;
-
-  // Command-line transport: workerArgs forwards the knob verbatim.
-  TaskSpec FileSpec = Spec;
-  FileSpec.Source = HamiltonianSource::fromFile("h.txt");
-  std::optional<std::vector<std::string>> Argv = ShardCoordinator::workerArgs(
-      "marqsim-cli", FileSpec, 0, 2, "out.manifest", "");
-  ASSERT_TRUE(Argv);
-  EXPECT_NE(std::find(Argv->begin(), Argv->end(),
-                      std::string("--eval-jobs=3")),
-            Argv->end());
 
   SimulationService Single;
   TaskSpec SerialSpec = Spec;

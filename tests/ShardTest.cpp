@@ -17,7 +17,9 @@
 //   * valid manifests in the work directory are reused (crash recovery),
 //   * the subprocess path (re-exec'd marqsim-cli workers sharing one
 //     cache directory) produces the same bits with exactly one
-//     gate-cancellation MCFP solve across the whole run.
+//     gate-cancellation MCFP solve across the whole run, for any spec the
+//     TaskSpec JSON transport carries, and a range that keeps failing
+//     aborts the run after a bounded number of attempts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -651,12 +653,105 @@ TEST(ShardSubprocessTest, KilledWorkerRangeIsDetectedStaleAndReRun) {
   EXPECT_TRUE(SawRejected) << "missing stale-manifest rejection note";
 }
 
-TEST(ShardSubprocessTest, InlineSourcesCannotReExec) {
-  TaskSpec Spec = testSpec(4);
+TEST(ShardSubprocessTest, JsonSpecCarriesWhatArgvCouldNot) {
+  std::string Binary = cliBinary();
+  if (Binary.empty())
+    GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
+
+  // Subprocess workers read the spec as TaskSpec JSON, so specs a command
+  // line could not express re-exec like any other: an inline source with
+  // a seed above INT64_MAX and custom lowering, and a deterministic
+  // Trotter-2 spec whose given term order must reach the worker intact.
+  TaskSpec Inline = testSpec(5);
+  Inline.Seed = 0x8000'0000'0000'0005ULL;
+  Inline.Lowering.Emit.CrossCancellation = false;
+  TaskSpec Trotter = testSpec(5);
+  Trotter.Method = TaskMethod::Trotter;
+  Trotter.TrotterOrder = 2;
+  Trotter.Order = TermOrderKind::Given;
+
+  unsigned Case = 0;
+  for (const TaskSpec &Spec : {Inline, Trotter}) {
+    SimulationService Reference;
+    std::optional<TaskResult> Single = Reference.run(Spec);
+    ASSERT_TRUE(Single);
+
+    ShardOptions Options;
+    Options.ShardCount = 3;
+    Options.WorkDir = freshDir("shard_json_spec_" + std::to_string(Case++));
+    Options.WorkerBinary = Binary;
+    std::string Error;
+    ShardReport Report;
+    std::optional<TaskResult> Merged =
+        ShardCoordinator(Options).run(Spec, &Error, &Report);
+    ASSERT_TRUE(Merged) << Error;
+    expectBitIdentical(*Single, *Merged);
+    EXPECT_EQ(Report.Retries, 0u);
+  }
+}
+
+TEST(ShardSubprocessTest, PersistentlyCorruptWorkerAbortsAfterBoundedAttempts) {
+  std::string Binary = cliBinary();
+  if (Binary.empty())
+    GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
+
+  // A wrapper worker that, for shard 1, always exits cleanly after
+  // leaving a truncated manifest (and logs the attempt); shards 0 and 2
+  // run the real CLI. Every bad result charges the range an attempt, so
+  // the run must abort once the budget is spent instead of re-running the
+  // range forever.
+  std::string Dir = freshDir("shard_corrupt_worker");
+  std::string Attempts = Dir + "/attempts";
+  std::string Wrapper = Dir + "/worker.sh";
+  {
+    std::ofstream Script(Wrapper);
+    Script << "#!/bin/sh\nout=\"\"\nidx=\"\"\nfor a in \"$@\"; do\n"
+              "  case \"$a\" in\n"
+              "    --shard-out=*) out=\"${a#--shard-out=}\";;\n"
+              "    --shard-index=*) idx=\"${a#--shard-index=}\";;\n"
+              "  esac\ndone\n"
+              "if [ \"$idx\" = \"1\" ]; then\n"
+              "  echo attempt >> \""
+           << Attempts
+           << "\"\n"
+              "  printf 'marqsim-shard-v1\\ntrunc' > \"$out\"\n"
+              "  exit 0\nfi\n"
+              "exec \""
+           << Binary << "\" \"$@\"\n";
+  }
+  std::filesystem::permissions(Wrapper,
+                               std::filesystem::perms::owner_all |
+                                   std::filesystem::perms::group_read |
+                                   std::filesystem::perms::others_read);
+
+  ShardOptions Options;
+  Options.ShardCount = 3;
+  Options.MaxAttempts = 2;
+  Options.WorkDir = freshDir("shard_corrupt_worker_wd");
+  Options.WorkerBinary = Wrapper;
   std::string Error;
-  EXPECT_FALSE(ShardCoordinator::workerArgs("marqsim-cli", Spec, 0, 2,
-                                            "out.manifest", "", 0, &Error));
-  EXPECT_NE(Error.find("inline"), std::string::npos);
+  ShardReport Report;
+  EXPECT_FALSE(ShardCoordinator(Options).run(testSpec(6), &Error, &Report));
+  EXPECT_NE(Error.find("still invalid after 2 attempts"), std::string::npos)
+      << Error;
+  EXPECT_EQ(Report.Retries, 1u);
+  std::ifstream Log(Attempts);
+  std::string Line;
+  unsigned Runs = 0;
+  while (std::getline(Log, Line))
+    ++Runs;
+  EXPECT_EQ(Runs, 2u) << "shard 1 must run exactly MaxAttempts times";
+
+  // The healthy ranges still completed and persisted for a later resume;
+  // the corrupt range left nothing behind.
+  for (unsigned I : {0u, 2u}) {
+    std::string ReadError;
+    EXPECT_TRUE(ShardManifest::readFile(
+        ShardCoordinator::manifestPath(Options.WorkDir, I), &ReadError))
+        << "shard " << I << ": " << ReadError;
+  }
+  EXPECT_FALSE(std::filesystem::exists(
+      ShardCoordinator::manifestPath(Options.WorkDir, 1)));
 }
 
 TEST(ShardCoordinatorTest, Fp32PrecisionIsRejected) {

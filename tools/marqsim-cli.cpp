@@ -108,14 +108,14 @@
 //     --dot=FILE          also dump the HTT graph as Graphviz DOT
 //
 // Hidden worker mode (used by the --shards coordinator when it re-execs
-// this binary; not part of the supported surface): --shard-index=I
-// --shard-count=K --shard-out=FILE compiles shard I's shot range and
-// writes its manifest instead of QASM, --mix-qd-bits/--mix-gc-bits/
-// --mix-rp-bits/--time-bits/--epsilon-bits/--noise-prob-bits/
-// --noise-2q-factor-bits override the corresponding spec fields with raw
-// IEEE-754 bit patterns so the worker's spec is bit-identical to the
-// coordinator's, and --cache-limit-bytes carries the coordinator's cache
-// budget without a decimal round trip.
+// this binary; not part of the supported surface): --shard-spec=FILE
+// --shard-index=I --shard-count=K --shard-out=FILE compiles shard I's
+// shot range of the TaskSpec JSON in FILE (written by the coordinator;
+// every double and seed travels as raw IEEE-754/word hex, the
+// Hamiltonian as inline terms, so the worker's spec is bit-identical to
+// the coordinator's) and writes its manifest instead of QASM. Only
+// --cache-dir and --cache-limit-bytes (the coordinator's cache budget,
+// byte-exact) are read besides; every other flag is ignored.
 //
 // Exit codes: 0 success, 1 usage error, 2 malformed input / failed run.
 //
@@ -124,7 +124,6 @@
 #include "circuit/QasmExport.h"
 #include "server/Client.h"
 #include "shard/ShardCoordinator.h"
-#include "support/Serial.h"
 #include "support/Subprocess.h"
 #include "support/Table.h"
 
@@ -136,23 +135,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 using namespace marqsim;
 
 namespace {
-
-/// Applies one hidden --NAME=HEX16 bit-pattern override.
-bool applyBitsFlag(const CommandLine &CL, const char *Name, double &Out) {
-  if (!CL.has(Name))
-    return true;
-  uint64_t Bits = 0;
-  if (!serial::parseHex64(CL.getString(Name), Bits)) {
-    std::cerr << "error: --" << Name << " expects 16 hex digits\n";
-    return false;
-  }
-  Out = serial::bitsToDouble(Bits);
-  return true;
-}
 
 void printBatchTable(const TaskSpec &Spec, const TaskResult &Result) {
   const BatchResult &Batch = Result.Batch;
@@ -192,22 +179,40 @@ void printStoreStats(const ArtifactStore::Stats &S, size_t LimitBytes) {
             << "\n";
 }
 
-/// The hidden re-exec entry point: compile one shard's shot range and
-/// write its manifest.
-int runWorkerMode(const CommandLine &CL, const TaskSpec &Spec,
-                  const ServiceOptions &Options) {
+/// The hidden re-exec entry point: compile one shard's shot range of the
+/// coordinator's spec file and write its manifest.
+int runWorkerMode(const CommandLine &CL) {
   int64_t Index = CL.getInt("shard-index", -1);
   int64_t Count = CL.getInt("shard-count", 0);
+  std::string SpecPath = CL.getString("shard-spec");
   std::string OutPath = CL.getString("shard-out");
-  if (Index < 0 || Count < 1 || Index >= Count || OutPath.empty()) {
-    std::cerr << "error: worker mode needs --shard-index in [0, "
-                 "--shard-count) and --shard-out=FILE\n";
+  if (Index < 0 || Count < 1 || Index >= Count || SpecPath.empty() ||
+      OutPath.empty()) {
+    std::cerr << "error: worker mode needs --shard-spec=FILE, --shard-index "
+                 "in [0, --shard-count) and --shard-out=FILE\n";
     return 1;
   }
+  std::string Error = "cannot read '" + SpecPath + "'";
+  std::ifstream In(SpecPath);
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  std::optional<json::Value> Json;
+  if (In)
+    Json = json::Value::parse(Text.str(), &Error);
+  std::optional<TaskSpec> Spec;
+  if (Json)
+    Spec = TaskSpec::fromJson(*Json, &Error);
+  if (!Spec) {
+    std::cerr << "error: " << Error << "\n";
+    return 2;
+  }
+  ServiceOptions Options;
+  Options.CacheDir = CL.getString("cache-dir");
+  Options.CacheLimitBytes = static_cast<size_t>(
+      std::max<int64_t>(0, CL.getInt("cache-limit-bytes", 0)));
   SimulationService Service(Options);
-  std::string Error;
   std::optional<ShardManifest> Manifest = ShardCoordinator::runShard(
-      Service, Spec, static_cast<unsigned>(Index),
+      Service, *Spec, static_cast<unsigned>(Index),
       static_cast<unsigned>(Count), &Error);
   if (!Manifest || !Manifest->writeFile(OutPath, &Error)) {
     std::cerr << "error: " << Error << "\n";
@@ -292,8 +297,11 @@ int runConnectMode(const CommandLine &CL, TaskSpec Spec) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  // A pure stats query needs no Hamiltonian; handle it before the usage
-  // gate below would demand one.
+  // Worker mode and a pure stats query take no Hamiltonian argument;
+  // handle them before the usage gate below would demand one.
+  if (CL.has("shard-spec") || CL.has("shard-index") || CL.has("shard-count") ||
+      CL.has("shard-out"))
+    return runWorkerMode(CL);
   if (CL.has("connect") && CL.getBool("server-stats")) {
     std::string Error;
     std::optional<server::DaemonClient> Client =
@@ -330,21 +338,6 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << Error << "\n";
     return 1;
   }
-  // Hidden bit-exact overrides (see the worker-mode note above).
-  if (!applyBitsFlag(CL, "mix-qd-bits", Spec->Mix.WQd) ||
-      !applyBitsFlag(CL, "mix-gc-bits", Spec->Mix.WGc) ||
-      !applyBitsFlag(CL, "mix-rp-bits", Spec->Mix.WRp) ||
-      !applyBitsFlag(CL, "time-bits", Spec->Time) ||
-      !applyBitsFlag(CL, "epsilon-bits", Spec->Epsilon) ||
-      !applyBitsFlag(CL, "noise-prob-bits", Spec->Noise.Prob) ||
-      !applyBitsFlag(CL, "noise-2q-factor-bits", Spec->Noise.TwoQubitFactor))
-    return 1;
-  // Remaining worker-transport flags for spec fields fromCommandLine does
-  // not expose (they complete TaskSpec::contentKey coverage).
-  Spec->Flow.ProbScale = CL.getInt("prob-scale", Spec->Flow.ProbScale);
-  Spec->Flow.CostScale = CL.getInt("cost-scale", Spec->Flow.CostScale);
-  Spec->Evaluate.ColumnSeed = static_cast<uint64_t>(
-      CL.getInt("column-seed", static_cast<int64_t>(Spec->Evaluate.ColumnSeed)));
 
   ServiceOptions Options;
   if (const char *Env = std::getenv("MARQSIM_CACHE_DIR"))
@@ -371,34 +364,21 @@ int main(int Argc, char **Argv) {
         std::min(std::max(std::ceil(LimitMB * 1024.0 * 1024.0), 1.0),
                  MaxBytes));
   }
-  // Hidden worker transport: the coordinator's budget, byte-exact.
-  int64_t LimitBytes = CL.getInt("cache-limit-bytes", -1);
-  if (LimitBytes >= 0)
-    Options.CacheLimitBytes = static_cast<size_t>(LimitBytes);
 
-  bool WorkerMode =
-      CL.has("shard-index") || CL.has("shard-count") || CL.has("shard-out");
   bool CoordinatorMode = CL.has("shards") || CL.has("workers");
-  if (WorkerMode && CoordinatorMode) {
-    std::cerr << "error: --shards (coordinator) and --shard-index/--shard-"
-                 "out (worker) are mutually exclusive\n";
-    return 1;
-  }
   if (CL.getBool("stats-json") && !CL.has("out")) {
     std::cerr << "error: --stats-json needs --out so stdout carries only "
                  "the JSON object\n";
     return 1;
   }
   if (CL.has("connect")) {
-    if (WorkerMode || CoordinatorMode) {
+    if (CoordinatorMode) {
       std::cerr << "error: --connect runs on the daemon; it is mutually "
-                   "exclusive with --shards and worker mode\n";
+                   "exclusive with --shards and --workers\n";
       return 1;
     }
     return runConnectMode(CL, *Spec);
   }
-  if (WorkerMode)
-    return runWorkerMode(CL, *Spec, Options);
 
   SimulationService Service(Options);
   std::optional<TaskResult> Result;
