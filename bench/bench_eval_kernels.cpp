@@ -52,7 +52,7 @@
 //   --min-simd-speedup=X   panel vs panel-scalar at >= 8 columns (default
 //                          1.5); skipped — not failed — when the
 //                          dispatched tier is already scalar (no ISA, or
-//                          the process runs under MARQSIM_FORCE_SCALAR=1)
+//                          MARQSIM_KERNEL_TIER=scalar pins the process)
 //   --min-fused-speedup=X  fused-<tier> vs unfused-<tier> on the
 //                          overlap-heavy table (default 1.15), gated on
 //                          the scalar tier and on the best tier the host
@@ -63,7 +63,8 @@
 // one per line, and exits — CI uses it to build its pin matrix.
 //
 // Flags: --qubits=N (10) --reps=R (8 Trotter reps; ~R*terms rotations)
-//        --time=T (0.9) --min-seconds=S (0.25 per timing cell)
+//        --time=T (0.9) --min-seconds=S (0.25 per timing cell, split into
+//        5 timed windows; a row reports its median window)
 //        --fp32-tol=E (1e-3)
 //
 //===----------------------------------------------------------------------===//
@@ -219,29 +220,45 @@ struct Row {
   bool BitExact; // gate: hex-identical to reference vs fp32 tolerance
 };
 
-/// Times \p Run with enough iterations to fill \p MinSeconds and appends a
-/// row: total ms from the wall clock around the loop, the evolve/overlap
-/// split averaged over the same iterations (the evaluation itself is
-/// identical every time).
+/// Times \p Run over \p MinSeconds split into five equal windows, each
+/// with enough iterations to fill its share, and appends a row from the
+/// median window (by total time): total ms from the wall clock around the
+/// window's loop, the evolve/overlap split averaged over the same
+/// iterations (the evaluation itself is identical every time). The median
+/// keeps one descheduled window from moving a row or tripping a gate.
 template <typename Fn>
 void timeRow(std::vector<Row> &Rows, double MinSeconds, std::string Name,
              std::string Kernel, bool BitExact, const Fn &Run) {
+  constexpr size_t Windows = 5;
   SplitEval Sample = Run(); // warm-up + correctness sample
   Timer Once;
   (void)Run();
   double Single = Once.seconds();
   size_t Iters = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(MinSeconds / std::max(Single, 1e-9))));
-  SplitEval Acc;
-  Timer Clock;
-  for (size_t I = 0; I < Iters; ++I) {
-    SplitEval E = Run();
-    Acc.EvolveSec += E.EvolveSec;
-    Acc.OverlapSec += E.OverlapSec;
+      1, static_cast<size_t>(std::ceil(MinSeconds / Windows /
+                                       std::max(Single, 1e-9))));
+  struct Window {
+    double Ms = 0.0;
+    SplitEval Split;
+  };
+  std::vector<Window> Timed(Windows);
+  for (Window &W : Timed) {
+    Timer Clock;
+    for (size_t I = 0; I < Iters; ++I) {
+      SplitEval E = Run();
+      W.Split.EvolveSec += E.EvolveSec;
+      W.Split.OverlapSec += E.OverlapSec;
+    }
+    W.Ms = Clock.seconds() * 1e3;
   }
+  std::nth_element(
+      Timed.begin(), Timed.begin() + Windows / 2, Timed.end(),
+      [](const Window &A, const Window &B) { return A.Ms < B.Ms; });
+  const Window &Median = Timed[Windows / 2];
   const double Scale = 1e3 / static_cast<double>(Iters);
-  Rows.push_back({std::move(Name), std::move(Kernel), Acc.EvolveSec * Scale,
-                  Acc.OverlapSec * Scale, Clock.seconds() * Scale,
+  Rows.push_back({std::move(Name), std::move(Kernel),
+                  Median.Split.EvolveSec * Scale,
+                  Median.Split.OverlapSec * Scale, Median.Ms / Iters,
                   Sample.Fidelity, BitExact});
 }
 
@@ -264,17 +281,18 @@ int main(int Argc, char **Argv) {
   const double MinFusedSpeedup = CL.getDouble("min-fused-speedup", 1.15);
   const double Fp32Tol = CL.getDouble("fp32-tol", 1e-3);
 
-  // The dispatched tier for this process: MARQSIM_KERNEL_TIER /
-  // MARQSIM_FORCE_SCALAR pin every dispatched row (including "panel"), so
-  // a pinned CI run produces a table whose hex column must match the
-  // free-dispatch run's. The per-tier rows pin explicitly and are immune
-  // to the environment: availableOps() reflects the CPU, not the pin.
-  const bool EnvScalar = kernels::forcedScalarByEnv();
+  // The dispatched tier for this process: MARQSIM_KERNEL_TIER pins every
+  // dispatched row (including "panel"), so a pinned CI run produces a
+  // table whose hex column must match the free-dispatch run's. The
+  // per-tier rows pin explicitly and are immune to the environment:
+  // availableOps() reflects the CPU, not the pin.
+  const std::string Pin = kernels::tierOverrideFromEnv();
   const char *Dispatched = kernels::activeName();
   const std::vector<const kernels::Ops *> Tiers = kernels::availableOps();
   std::cerr << "eval-kernels: dispatch=" << Dispatched << " detected="
             << kernels::detectedName()
-            << (EnvScalar ? " (MARQSIM_FORCE_SCALAR)" : "") << "\n";
+            << (Pin.empty() ? "" : " (MARQSIM_KERNEL_TIER=" + Pin + ")")
+            << "\n";
 
   // A strongly-interacting spin chain: XX/YY butterflies plus ZZ/Z
   // diagonal terms, so every kernel path is exercised.

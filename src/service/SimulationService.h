@@ -257,9 +257,9 @@ public:
   /// --stats.
   static const char *kernelName();
 
-  /// The best tier the CPU supports, ignoring MARQSIM_KERNEL_TIER /
-  /// MARQSIM_FORCE_SCALAR — reported next to kernelName so a pinned
-  /// process is visible in every stats surface.
+  /// The best tier the CPU supports, ignoring the MARQSIM_KERNEL_TIER pin
+  /// — reported next to kernelName so a pinned process is visible in
+  /// every stats surface.
   static const char *detectedKernelName();
 
   /// Whether the OS exposes the full AVX-512 register state (always false

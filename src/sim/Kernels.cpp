@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The scalar tier is the semantic definition of every kernel: the SIMD
-// tiers must reproduce its per-element arithmetic bit for bit (FP64) or
-// lane for lane in float (FP32). The statevector bodies are the original
-// fused loops of StateVector::applyPauliExp, moved here verbatim; the
-// panel bodies are the SoA restatement of StatePanel::applyPauliExpAll
-// with identical per-element expressions; the fused overlap bodies chain
-// the rotation sweep with the ascending-basis accumulation loop of
-// StatePanel::overlapWith, one lane chain per column.
+// tiers (one shared body, sim/KernelBody.h) must reproduce its
+// per-element std::complex arithmetic bit for bit, in FP64 and in FP32.
+// The statevector body is the original fused loop of
+// StateVector::applyPauliExp; the panel body is its SoA restatement with
+// identical per-element expressions, chained with the ascending-basis
+// accumulation loop of StatePanel::overlapWith, one lane chain per column.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,14 +30,26 @@ using marqsim::detail::PauliPhasesF32;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Scalar statevector kernels (interleaved complex amplitudes)
+// Scalar statevector kernel (interleaved complex amplitudes)
 //===----------------------------------------------------------------------===//
 
 template <typename Real, typename Phases>
-void expButterfly(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
-                  std::complex<Real> CosT, std::complex<Real> ISinT,
-                  const Phases &Ph) {
+void scalarExp(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
+               std::complex<Real> CosT, std::complex<Real> ISinT,
+               const Phases &Ph) {
   using C = std::complex<Real>;
+  if (XM == 0) {
+    // Diagonal fast path: P|X> = (+/-1)|X>, so each element only needs its
+    // own slot. The update keeps the literal two-product expression (rather
+    // than one fused factor cos +/- i sin) because a single multiply flips
+    // the sign of exact-zero amplitudes when cos(Theta) < 0; this form is
+    // bit-identical to the reference kernel including zero signs.
+    for (uint64_t X = 0; X < Dim; ++X) {
+      const C A = Amp[X];
+      Amp[X] = CosT * A + ISinT * (Ph.at(X) * A);
+    }
+    return;
+  }
   // Fused butterfly: each {X, X ^ XM} pair is visited once and updated in
   // place with the same per-element arithmetic as the two-pass scratch
   // formulation (cos * psi + i sin * P psi), so results are bit-identical.
@@ -54,46 +65,8 @@ void expButterfly(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
   }
 }
 
-template <typename Real, typename Phases>
-void expDiagonal(std::complex<Real> *Amp, size_t Dim,
-                 std::complex<Real> CosT, std::complex<Real> ISinT,
-                 const Phases &Ph) {
-  using C = std::complex<Real>;
-  // Diagonal fast path: P|X> = (+/-1)|X>, so each element only needs its
-  // own slot. The update keeps the literal two-product expression (rather
-  // than one fused factor cos +/- i sin) because a single multiply flips
-  // the sign of exact-zero amplitudes when cos(Theta) < 0; this form is
-  // bit-identical to the reference kernel including zero signs.
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const C A = Amp[X];
-    Amp[X] = CosT * A + ISinT * (Ph.at(X) * A);
-  }
-}
-
-void scalarExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM, Complex CosT,
-                           Complex ISinT, const PauliPhases &Phases) {
-  expButterfly<double>(Amp, Dim, XM, CosT, ISinT, Phases);
-}
-
-void scalarExpDiagonalF64(Complex *Amp, size_t Dim, Complex CosT,
-                          Complex ISinT, const PauliPhases &Phases) {
-  expDiagonal<double>(Amp, Dim, CosT, ISinT, Phases);
-}
-
-void scalarExpButterflyF32(kernels::ComplexF *Amp, size_t Dim, uint64_t XM,
-                           kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                           const PauliPhasesF32 &Phases) {
-  expButterfly<float>(Amp, Dim, XM, CosT, ISinT, Phases);
-}
-
-void scalarExpDiagonalF32(kernels::ComplexF *Amp, size_t Dim,
-                          kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                          const PauliPhasesF32 &Phases) {
-  expDiagonal<float>(Amp, Dim, CosT, ISinT, Phases);
-}
-
 //===----------------------------------------------------------------------===//
-// Scalar panel kernels (split real/imag planes, row X at [X * Stride])
+// Scalar panel kernel (split real/imag planes, row X at [X * Stride])
 //===----------------------------------------------------------------------===//
 
 // The sweeps cover the full Stride of every row, padding lanes included —
@@ -171,78 +144,28 @@ void panelOverlapAccum(const Real *Re, const Real *Im, size_t Dim,
 }
 
 template <typename Real, typename Phases>
-void panelExpOverlap(Real *Re, Real *Im, size_t Dim, size_t Stride,
-                     uint64_t XM, std::complex<Real> CosT,
-                     std::complex<Real> ISinT, const Phases &Ph,
-                     const double *TRe, const double *TImNeg, double *AccRe,
-                     double *AccIm) {
-  // Rotation sweep first, then one streaming accumulation pass: the
-  // butterfly visits rows in pair order, so accumulating inside it would
-  // reorder the per-column chains. Two passes inside one kernel call is
-  // still one panel re-read instead of one strided re-read per column.
+void scalarPanelExp(Real *Re, Real *Im, size_t Dim, size_t Stride,
+                    uint64_t XM, std::complex<Real> CosT,
+                    std::complex<Real> ISinT, const Phases &Ph,
+                    const double *TRe, const double *TImNeg, double *AccRe,
+                    double *AccIm) {
   if (XM == 0)
     panelExpDiagonal<Real>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
   else
     panelExpButterfly<Real>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-  panelOverlapAccum<Real>(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
+  // Rotation sweep first, then one streaming accumulation pass: the
+  // butterfly visits rows in pair order, so accumulating inside it would
+  // reorder the per-column chains.
+  if (TRe)
+    panelOverlapAccum<Real>(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
 }
 
-void scalarPanelExpButterflyF64(double *Re, double *Im, size_t Dim,
-                                size_t Stride, uint64_t XM, Complex CosT,
-                                Complex ISinT, const PauliPhases &Ph) {
-  panelExpButterfly<double>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-}
-
-void scalarPanelExpDiagonalF64(double *Re, double *Im, size_t Dim,
-                               size_t Stride, Complex CosT, Complex ISinT,
-                               const PauliPhases &Ph) {
-  panelExpDiagonal<double>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-}
-
-void scalarPanelExpButterflyF32(float *Re, float *Im, size_t Dim,
-                                size_t Stride, uint64_t XM,
-                                kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                                const PauliPhasesF32 &Ph) {
-  panelExpButterfly<float>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-}
-
-void scalarPanelExpDiagonalF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                               kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                               const PauliPhasesF32 &Ph) {
-  panelExpDiagonal<float>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-}
-
-void scalarPanelExpOverlapF64(double *Re, double *Im, size_t Dim,
-                              size_t Stride, uint64_t XM, Complex CosT,
-                              Complex ISinT, const PauliPhases &Ph,
-                              const double *TRe, const double *TImNeg,
-                              double *AccRe, double *AccIm) {
-  panelExpOverlap<double>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph, TRe,
-                          TImNeg, AccRe, AccIm);
-}
-
-void scalarPanelExpOverlapF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                              uint64_t XM, kernels::ComplexF CosT,
-                              kernels::ComplexF ISinT,
-                              const PauliPhasesF32 &Ph, const double *TRe,
-                              const double *TImNeg, double *AccRe,
-                              double *AccIm) {
-  panelExpOverlap<float>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph, TRe,
-                         TImNeg, AccRe, AccIm);
-}
-
-const kernels::Ops ScalarOps = {
+constexpr kernels::Ops ScalarOps = {
     "scalar",
-    scalarExpButterflyF64,
-    scalarExpDiagonalF64,
-    scalarPanelExpButterflyF64,
-    scalarPanelExpDiagonalF64,
-    scalarPanelExpButterflyF32,
-    scalarPanelExpDiagonalF32,
-    scalarExpButterflyF32,
-    scalarExpDiagonalF32,
-    scalarPanelExpOverlapF64,
-    scalarPanelExpOverlapF32,
+    scalarExp<double, PauliPhases>,
+    scalarExp<float, PauliPhasesF32>,
+    scalarPanelExp<double, PauliPhases>,
+    scalarPanelExp<float, PauliPhasesF32>,
 };
 
 //===----------------------------------------------------------------------===//
@@ -295,15 +218,9 @@ std::atomic<const kernels::Ops *> Active{nullptr};
 
 } // namespace
 
-bool kernels::forcedScalarByEnv() {
-  const char *E = std::getenv("MARQSIM_FORCE_SCALAR");
-  return E && *E && std::string(E) != "0";
-}
-
 std::string kernels::tierOverrideFromEnv() {
-  if (const char *E = std::getenv("MARQSIM_KERNEL_TIER"); E && *E)
-    return E;
-  return forcedScalarByEnv() ? "scalar" : "";
+  const char *E = std::getenv("MARQSIM_KERNEL_TIER");
+  return E ? E : "";
 }
 
 std::vector<const kernels::Ops *> kernels::availableOps() {
@@ -341,11 +258,6 @@ const char *kernels::activeName() { return active().Name; }
 const char *kernels::detectedName() { return bestOpsForHost()->Name; }
 
 const kernels::Ops &kernels::scalarOps() { return ScalarOps; }
-
-void kernels::selectForTesting(bool ForceScalar) {
-  Active.store(ForceScalar ? &ScalarOps : bestOpsForHost(),
-               std::memory_order_release);
-}
 
 void kernels::selectTierForTesting(const Ops &Tier) {
   Active.store(&Tier, std::memory_order_release);

@@ -7,29 +7,37 @@
 /// \file
 /// The runtime-dispatched SIMD layer under StateVector and StatePanel.
 ///
-/// Every hot evaluation loop — the fused Pauli-exponential butterfly, the
-/// Z-diagonal fast path, the panel applyPauliExpAll sweeps, and the fused
-/// final-rotation + target-overlap sweep — resolves through one table of
-/// kernel entry points (Ops). The table is selected once per process from
-/// the CPU probe (support/CpuFeatures.h), best tier first: AVX-512F/DQ
-/// hosts whose OS enables the ZMM state get 512-bit kernels ("avx512"),
-/// AVX2+FMA hosts get 256-bit kernels ("avx2-fma"), AArch64 gets NEON,
-/// and everything else the scalar reference implementations, which are
-/// always compiled in. MARQSIM_KERNEL_TIER pins a specific tier by name
-/// (the legacy MARQSIM_FORCE_SCALAR=1 is an alias for "scalar"); pinning
-/// a tier the host cannot run aborts the process with a message naming
-/// the detected features, never a silent fallback.
+/// Every hot evaluation loop resolves through one table of four kernel
+/// entry points (Ops): exp(i Theta P) on an interleaved statevector and on
+/// an SoA panel, each in FP64 and FP32. XM == 0 selects the Z-diagonal
+/// path of either; the panel entries fold the final-rotation + target
+/// overlap reduction in and skip it when TRe is null. The table is
+/// selected once per process from the CPU probe (support/CpuFeatures.h),
+/// best tier first: AVX-512F/DQ hosts whose OS enables the ZMM state get
+/// 512-bit kernels ("avx512"), AVX2+FMA hosts 256-bit kernels
+/// ("avx2-fma"), AArch64 128-bit kernels ("neon"), and everything else the
+/// scalar reference implementations, which are always compiled in.
+/// MARQSIM_KERNEL_TIER pins a specific tier by name; pinning a tier the
+/// host cannot run aborts the process with a message naming the detected
+/// features, never a silent fallback.
 ///
-/// Determinism contract: the FP64 vector kernels perform, lane for lane,
-/// exactly the per-element arithmetic of the scalar reference — the same
-/// complex-multiply expansion std::complex<double> uses, each operation
-/// individually rounded, no fused multiply-adds in value-producing
-/// arithmetic (the whole project builds with -ffp-contract=off, and the
-/// SIMD translation units use discrete mul/add/sub intrinsics only).
-/// Amplitude updates are elementwise-independent maps, so lane order never
-/// matters, and every dispatch choice emits bit-identical amplitudes; the
-/// frozen fidelity goldens hold on every ISA. The fused overlap kernels
-/// accumulate each column's overlap as its own lane chain in ascending
+/// The SIMD tiers share one body per kernel (sim/KernelBody.h), written
+/// over a vector-extension lane type and instantiated at each tier's
+/// vector width; a pivot run or a Z-diagonal shorter than one vector
+/// halves the width inside the same tier, down to one complex.
+///
+/// Determinism contract: every vector lane performs exactly the
+/// per-element arithmetic of the scalar reference — the same
+/// complex-multiply expansion std::complex uses, each multiply, add and
+/// subtract individually rounded, no fused multiply-adds (the whole
+/// project builds with -ffp-contract=off). The interleaved complex
+/// multiply forms its subtract-in-even-lanes step as a blend of one
+/// rounded subtract and one rounded add, so each lane is still one
+/// rounding of the scalar expression. Amplitude updates are
+/// elementwise-independent maps, so lane order and vector width never
+/// matter, and every dispatch choice emits bit-identical amplitudes; the
+/// frozen fidelity goldens hold on every ISA. The fused overlap
+/// accumulates each column's overlap as its own lane chain in ascending
 /// basis order — the exact chain StatePanel::overlapWith runs — so fusing
 /// never changes a single bit either. The FP32 kernels keep the same
 /// scalar-vs-SIMD bit-identity among themselves but are only
@@ -111,54 +119,22 @@ struct Ops {
   /// "avx512", "avx2-fma", "neon", or "scalar".
   const char *Name;
 
-  /// exp(i Theta P) on one interleaved std::complex<double> statevector,
-  /// xMask != 0: the fused in-place butterfly over {X, X ^ xMask} pairs.
-  void (*ExpButterflyF64)(Complex *Amp, size_t Dim, uint64_t XM,
-                          Complex CosT, Complex ISinT,
-                          const detail::PauliPhases &Ph);
+  /// exp(i Theta P) on one interleaved std::complex<double> statevector:
+  /// the fused in-place butterfly over {X, X ^ XM} pairs, or the
+  /// per-element Z-diagonal path when XM == 0.
+  void (*ExpF64)(Complex *Amp, size_t Dim, uint64_t XM, Complex CosT,
+                 Complex ISinT, const detail::PauliPhases &Ph);
 
-  /// exp(i Theta P) for Z-only strings (xMask == 0): the per-element
-  /// diagonal fast path on an interleaved statevector.
-  void (*ExpDiagonalF64)(Complex *Amp, size_t Dim, Complex CosT,
-                         Complex ISinT, const detail::PauliPhases &Ph);
+  /// The same on a std::complex<float> statevector — the FP32 walk tier
+  /// behind BasicStateVector<float>.
+  void (*ExpF32)(ComplexF *Amp, size_t Dim, uint64_t XM, ComplexF CosT,
+                 ComplexF ISinT, const detail::PauliPhasesF32 &Ph);
 
-  /// The panel butterfly sweep over SoA planes (layout contract above).
-  void (*PanelExpButterflyF64)(double *Re, double *Im, size_t Dim,
-                               size_t Stride, uint64_t XM, Complex CosT,
-                               Complex ISinT, const detail::PauliPhases &Ph);
-
-  /// The panel Z-diagonal sweep over SoA planes.
-  void (*PanelExpDiagonalF64)(double *Re, double *Im, size_t Dim,
-                              size_t Stride, Complex CosT, Complex ISinT,
-                              const detail::PauliPhases &Ph);
-
-  /// FP32 panel butterfly: identical structure, float planes, twice the
-  /// lanes per vector.
-  void (*PanelExpButterflyF32)(float *Re, float *Im, size_t Dim,
-                               size_t Stride, uint64_t XM, ComplexF CosT,
-                               ComplexF ISinT,
-                               const detail::PauliPhasesF32 &Ph);
-
-  /// FP32 panel Z-diagonal sweep.
-  void (*PanelExpDiagonalF32)(float *Re, float *Im, size_t Dim,
-                              size_t Stride, ComplexF CosT, ComplexF ISinT,
-                              const detail::PauliPhasesF32 &Ph);
-
-  /// exp(i Theta P) on one interleaved std::complex<float> statevector —
-  /// the FP32 walk tier behind BasicStateVector<float> (xMask != 0).
-  void (*ExpButterflyF32)(ComplexF *Amp, size_t Dim, uint64_t XM,
-                          ComplexF CosT, ComplexF ISinT,
-                          const detail::PauliPhasesF32 &Ph);
-
-  /// The interleaved FP32 Z-diagonal fast path (xMask == 0).
-  void (*ExpDiagonalF32)(ComplexF *Amp, size_t Dim, ComplexF CosT,
-                         ComplexF ISinT, const detail::PauliPhasesF32 &Ph);
-
-  /// Fused final-rotation + overlap sweep over an FP64 panel: applies
-  /// exp(i Theta P) to the planes exactly like PanelExp{Butterfly,
-  /// Diagonal}F64 (XM == 0 selects the diagonal path), then accumulates
-  /// per-lane overlaps against a packed conjugated target panel in one
-  /// streaming pass instead of one strided re-read per column.
+  /// exp(i Theta P) swept over the SoA planes of an FP64 panel (layout
+  /// contract above; XM == 0 selects the diagonal path). When TRe is
+  /// non-null the sweep is followed, in the same call, by per-lane
+  /// overlaps against a packed conjugated target panel: one streaming
+  /// pass instead of one strided re-read per column.
   ///
   /// TRe / TImNeg hold the targets at the same [X * Stride + column]
   /// layout with the imaginary plane already negated (exact, sign flip
@@ -168,29 +144,26 @@ struct Ops {
   /// are Stride doubles each, zeroed by the caller; lane L's final value
   /// is column L's overlap, accumulated in ascending basis order, so
   /// fused and unfused evaluation are bit-identical.
-  void (*PanelExpOverlapF64)(double *Re, double *Im, size_t Dim,
-                             size_t Stride, uint64_t XM, Complex CosT,
-                             Complex ISinT, const detail::PauliPhases &Ph,
-                             const double *TRe, const double *TImNeg,
-                             double *AccRe, double *AccIm);
+  void (*PanelExpF64)(double *Re, double *Im, size_t Dim, size_t Stride,
+                      uint64_t XM, Complex CosT, Complex ISinT,
+                      const detail::PauliPhases &Ph, const double *TRe,
+                      const double *TImNeg, double *AccRe, double *AccIm);
 
-  /// The FP32 panel's fused final-rotation + overlap sweep: amplitudes
-  /// rotate in float, then widen to double (exact) before the overlap
-  /// multiply-accumulate — the same widening StatePanel::at performs, so
-  /// fused FP32 overlaps equal the unfused FP32 overlaps bit for bit.
-  /// Targets and accumulators stay double.
-  void (*PanelExpOverlapF32)(float *Re, float *Im, size_t Dim,
-                             size_t Stride, uint64_t XM, ComplexF CosT,
-                             ComplexF ISinT,
-                             const detail::PauliPhasesF32 &Ph,
-                             const double *TRe, const double *TImNeg,
-                             double *AccRe, double *AccIm);
+  /// The FP32 panel sweep: amplitudes rotate in float, then widen to
+  /// double (exact) before the overlap multiply-accumulate — the same
+  /// widening StatePanel::at performs, so fused FP32 overlaps equal the
+  /// unfused FP32 overlaps bit for bit. Targets and accumulators stay
+  /// double.
+  void (*PanelExpF32)(float *Re, float *Im, size_t Dim, size_t Stride,
+                      uint64_t XM, ComplexF CosT, ComplexF ISinT,
+                      const detail::PauliPhasesF32 &Ph, const double *TRe,
+                      const double *TImNeg, double *AccRe, double *AccIm);
 };
 
 /// The dispatched table: selected on first use from the CPU probe and the
-/// MARQSIM_KERNEL_TIER / MARQSIM_FORCE_SCALAR environment overrides, then
-/// cached. Thread-safe. Aborts the process (exit 1, message on stderr)
-/// when the environment pins a tier this host cannot run.
+/// MARQSIM_KERNEL_TIER environment pin, then cached. Thread-safe. Aborts
+/// the process (exit 1, message on stderr) when the environment pins a
+/// tier this host cannot run.
 const Ops &active();
 
 /// Name of the dispatched tier ("avx512" / "avx2-fma" / "neon" /
@@ -214,22 +187,13 @@ std::vector<const Ops *> availableOps();
 /// tier is not runnable on this host.
 const Ops *findTier(const std::string &Name);
 
-/// The environment's tier pin: MARQSIM_KERNEL_TIER verbatim, or "scalar"
-/// when only the legacy MARQSIM_FORCE_SCALAR=1 alias is set; empty when
-/// neither is set.
+/// The environment's tier pin: MARQSIM_KERNEL_TIER verbatim; empty when
+/// it is unset.
 std::string tierOverrideFromEnv();
 
-/// True when MARQSIM_FORCE_SCALAR is set (non-empty, not "0") in the
-/// process environment.
-bool forcedScalarByEnv();
-
-/// Test/bench hook: pin dispatch to the scalar tier (true) or to the best
-/// tier the CPU supports regardless of the environment (false). Production
-/// code never calls this; use selectAuto() to restore the default policy.
-void selectForTesting(bool ForceScalar);
-
 /// Test/bench hook: pin dispatch to an explicit tier (one of
-/// availableOps()). Restore with selectAuto().
+/// availableOps(), or scalarOps()). Production code never calls this;
+/// restore the default policy with selectAuto().
 void selectTierForTesting(const Ops &Tier);
 
 /// Restores the default dispatch policy (CPU probe + environment).

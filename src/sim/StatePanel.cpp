@@ -82,22 +82,14 @@ void BasicStatePanel<Real>::applyPauliExpAll(const PauliString &P,
   const uint64_t XM = P.xMask();
   const detail::PauliPhases Phases(P);
   const kernels::Ops &K = kernels::active();
-  if constexpr (std::is_same_v<Real, double>) {
-    if (XM == 0)
-      K.PanelExpDiagonalF64(Re.data(), Im.data(), Dim, Stride, CosT, ISinT,
-                            Phases);
-    else
-      K.PanelExpButterflyF64(Re.data(), Im.data(), Dim, Stride, XM, CosT,
-                             ISinT, Phases);
-  } else {
-    const detail::PauliPhasesF32 PhasesF(Phases);
-    if (XM == 0)
-      K.PanelExpDiagonalF32(Re.data(), Im.data(), Dim, Stride, CosT, ISinT,
-                            PhasesF);
-    else
-      K.PanelExpButterflyF32(Re.data(), Im.data(), Dim, Stride, XM, CosT,
-                             ISinT, PhasesF);
-  }
+  // Null targets: the sweep alone, no overlap accumulation.
+  if constexpr (std::is_same_v<Real, double>)
+    K.PanelExpF64(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT, Phases,
+                  nullptr, nullptr, nullptr, nullptr);
+  else
+    K.PanelExpF32(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
+                  detail::PauliPhasesF32(Phases), nullptr, nullptr, nullptr,
+                  nullptr);
 }
 
 template <typename Real> void BasicStatePanel<Real>::applyAll(const Gate &G) {
@@ -193,14 +185,13 @@ void BasicStatePanel<Real>::applyPauliExpAllFused(const PauliString &P,
   // padding lanes accumulate zeros against zero targets and are dropped.
   std::vector<double, AlignedAllocator<double, 64>> AccRe(Stride, 0.0);
   std::vector<double, AlignedAllocator<double, 64>> AccIm(Stride, 0.0);
-  if constexpr (std::is_same_v<Real, double>) {
-    K.PanelExpOverlapF64(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
-                         Phases, WR, WI, AccRe.data(), AccIm.data());
-  } else {
-    const detail::PauliPhasesF32 PhasesF(Phases);
-    K.PanelExpOverlapF32(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
-                         PhasesF, WR, WI, AccRe.data(), AccIm.data());
-  }
+  if constexpr (std::is_same_v<Real, double>)
+    K.PanelExpF64(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT, Phases,
+                  WR, WI, AccRe.data(), AccIm.data());
+  else
+    K.PanelExpF32(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
+                  detail::PauliPhasesF32(Phases), WR, WI, AccRe.data(),
+                  AccIm.data());
   for (size_t Col = 0; Col < Cols; ++Col)
     Out[Col] = Complex(AccRe[Col], AccIm[Col]);
 }

@@ -52,7 +52,7 @@ namespace marqsim {
 /// (X, column) at [X * Stride + column], padding lanes zero, both planes
 /// 64-byte aligned. With the negated plane, conj(Target) * Amp expands to
 /// the discretely-rounded lane arithmetic the kernels run — see
-/// kernels::Ops::PanelExpOverlapF64. Targets are packed once and reused
+/// kernels::Ops::PanelExpF64. Targets are packed once and reused
 /// across schedule replays; planes stay double for both precision tiers.
 class TargetPanel {
 public:

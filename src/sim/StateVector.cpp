@@ -202,18 +202,11 @@ void BasicStateVector<Real>::applyPauliExp(const PauliString &P,
   const uint64_t XM = P.xMask();
   const detail::PauliPhases Phases(P);
   const kernels::Ops &K = kernels::active();
-  if constexpr (std::is_same_v<Real, double>) {
-    if (XM == 0)
-      K.ExpDiagonalF64(Amp.data(), Amp.size(), CosT, ISinT, Phases);
-    else
-      K.ExpButterflyF64(Amp.data(), Amp.size(), XM, CosT, ISinT, Phases);
-  } else {
-    const detail::PauliPhasesF32 PhasesF(Phases);
-    if (XM == 0)
-      K.ExpDiagonalF32(Amp.data(), Amp.size(), CosT, ISinT, PhasesF);
-    else
-      K.ExpButterflyF32(Amp.data(), Amp.size(), XM, CosT, ISinT, PhasesF);
-  }
+  if constexpr (std::is_same_v<Real, double>)
+    K.ExpF64(Amp.data(), Amp.size(), XM, CosT, ISinT, Phases);
+  else
+    K.ExpF32(Amp.data(), Amp.size(), XM, CosT, ISinT,
+             detail::PauliPhasesF32(Phases));
 }
 
 template <typename Real>

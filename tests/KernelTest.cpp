@@ -9,19 +9,23 @@
 // bit-identical amplitudes for the same inputs — on interleaved
 // statevectors and on SoA panel planes, across panel widths, for
 // butterfly and Z-diagonal paths, from basis and from random starting
-// states, and at the short pivot runs (1, 2, 4) where the wide tiers
-// delegate down the precedence chain. The fused evolve+overlap tail must
-// reproduce the unfused sweep-then-overlapWith path bit for bit, and the
-// FP32 tier (panels and the interleaved walk) is held to the same
-// scalar-vs-SIMD bit-identity among its own implementations, plus a
-// tolerance band against FP64. On hosts whose best tier *is* scalar the
-// cross-tier comparisons still run (trivially); the contract they pin is
-// then enforced by the AVX2/AVX-512/NEON CI hosts.
+// states, and at the short pivot runs (1, 2, 4) where the shared body
+// (sim/KernelBody.h) halves its vector width inside the tier. The fused
+// evolve+overlap tail must reproduce the unfused sweep-then-overlapWith
+// path bit for bit, and the FP32 tier (panels and the interleaved walk)
+// is held to the same scalar-vs-SIMD bit-identity among its own
+// implementations, plus a tolerance band against FP64. The shared body is
+// also instantiated here at 16 bytes — NEON's width, native SSE2 on
+// x86-64 — so the NEON tier's arithmetic is checked on hosts that cannot
+// run it. On hosts whose best tier *is* scalar the cross-tier comparisons
+// still run (trivially); the contract they pin is then enforced by the
+// AVX2/AVX-512/NEON CI hosts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "hamgen/Models.h"
 #include "sim/Fidelity.h"
+#include "sim/KernelBody.h"
 #include "sim/Kernels.h"
 #include "sim/StatePanel.h"
 #include "sim/StateVector.h"
@@ -50,12 +54,10 @@ struct DispatchRestorer {
 
 /// The best table this host can dispatch to, ignoring the environment —
 /// the tier whose output must match the scalar reference bit for bit.
-const kernels::Ops &bestOps() {
-  kernels::selectForTesting(/*ForceScalar=*/false);
-  const kernels::Ops &Best = kernels::active();
-  kernels::selectAuto();
-  return Best;
-}
+const kernels::Ops &bestOps() { return *kernels::availableOps().front(); }
+
+/// The shared kernel body at 16 bytes, built in this (baseline-ISA) TU.
+constexpr kernels::Ops Body16Ops = kernel_body::opsAt<16>("body16");
 
 uint32_t floatBits(float V) {
   uint32_t Bits;
@@ -86,11 +88,7 @@ void applyThrough(const kernels::Ops &K, CVector &Amp, const PauliString &P,
   const Complex CosT(std::cos(Theta), 0.0);
   const Complex ISinT(0.0, std::sin(Theta));
   const detail::PauliPhases Phases(P);
-  const uint64_t XM = P.xMask();
-  if (XM == 0)
-    K.ExpDiagonalF64(Amp.data(), Amp.size(), CosT, ISinT, Phases);
-  else
-    K.ExpButterflyF64(Amp.data(), Amp.size(), XM, CosT, ISinT, Phases);
+  K.ExpF64(Amp.data(), Amp.size(), P.xMask(), CosT, ISinT, Phases);
 }
 
 ::testing::AssertionResult bitIdentical(const CVector &A, const CVector &B) {
@@ -147,8 +145,7 @@ TEST(KernelDispatchTest, ActiveTierIsKnown) {
   EXPECT_TRUE(Name == "scalar" || Name == "avx2-fma" || Name == "avx512" ||
               Name == "neon")
       << "unexpected kernel tier: " << Name;
-  if (kernels::forcedScalarByEnv() &&
-      kernels::tierOverrideFromEnv() == "scalar") {
+  if (kernels::tierOverrideFromEnv() == "scalar") {
     EXPECT_EQ(Name, "scalar");
   }
   EXPECT_STREQ(kernels::scalarOps().Name, "scalar");
@@ -211,55 +208,140 @@ TEST(KernelDispatchDeathTest, UnavailableTierPinFailsFast) {
       ::testing::ExitedWithCode(1), "not runnable on this host");
 }
 
-TEST(KernelDispatchTest, ForceScalarEnvironmentHonored) {
-  DispatchRestorer Restore;
-  const char *Prev = std::getenv("MARQSIM_FORCE_SCALAR");
-  const std::string Saved = Prev ? Prev : "";
-  ASSERT_EQ(setenv("MARQSIM_FORCE_SCALAR", "1", 1), 0);
-  EXPECT_TRUE(kernels::forcedScalarByEnv());
-  kernels::selectAuto();
-  EXPECT_STREQ(kernels::activeName(), "scalar");
-  // "0" and empty mean unset.
-  ASSERT_EQ(setenv("MARQSIM_FORCE_SCALAR", "0", 1), 0);
-  EXPECT_FALSE(kernels::forcedScalarByEnv());
-  if (Prev)
-    ASSERT_EQ(setenv("MARQSIM_FORCE_SCALAR", Saved.c_str(), 1), 0);
-  else
-    ASSERT_EQ(unsetenv("MARQSIM_FORCE_SCALAR"), 0);
-}
-
 TEST(KernelDispatchTest, SelectForTestingPinsAndAutoRestores) {
   DispatchRestorer Restore;
-  const kernels::Ops &Best = bestOps(); // before pinning: bestOps repins
-  kernels::selectForTesting(/*ForceScalar=*/true);
+  const kernels::Ops &Best = bestOps();
+  kernels::selectTierForTesting(kernels::scalarOps());
   EXPECT_STREQ(kernels::activeName(), "scalar");
-  kernels::selectForTesting(/*ForceScalar=*/false);
+  kernels::selectTierForTesting(Best);
   EXPECT_STREQ(kernels::activeName(), Best.Name);
+  // selectAuto re-applies the default policy: the environment pin when
+  // present, else the best tier.
+  kernels::selectAuto();
+  const std::string Pin = kernels::tierOverrideFromEnv();
+  EXPECT_STREQ(kernels::activeName(), Pin.empty() ? Best.Name : Pin.c_str());
 }
 
-// Interleaved statevector kernels: the best tier must reproduce the scalar
-// reference bit for bit — random states, basis states, every dim from a
-// two-amplitude vector (below every SIMD width) up through 2^7, butterfly
-// pivots both below and above the vector width, and Z-diagonals.
-TEST(KernelBitIdentityTest, StateVectorKernelsMatchScalarBitwise) {
-  const kernels::Ops &Best = bestOps();
+namespace {
+
+/// The panel entries of \p Tier against the scalar reference, called
+/// directly: lane L of row X starts at Start[X ^ (L % Dim)], the sweep runs
+/// alone and then fused with an overlap against arbitrary targets. Planes
+/// and accumulators must agree bitwise.
+template <typename Real>
+::testing::AssertionResult panelsMatchScalar(const kernels::Ops &Tier,
+                                             const CVector &Start,
+                                             const PauliString &P,
+                                             double Theta) {
+  using Plane = std::vector<Real, AlignedAllocator<Real, 64>>;
+  using Acc = std::vector<double, AlignedAllocator<double, 64>>;
+  const size_t Dim = Start.size(), Stride = 16; // 64 bytes of either Real
+  Plane Re(Dim * Stride), Im(Dim * Stride);
+  Acc TRe(Dim * Stride), TImNeg(Dim * Stride);
+  for (size_t I = 0; I < Dim * Stride; ++I) {
+    const Complex A = Start[(I / Stride) ^ (I % Stride % Dim)];
+    Re[I] = static_cast<Real>(A.real());
+    Im[I] = static_cast<Real>(A.imag());
+    TRe[I] = A.imag();
+    TImNeg[I] = -A.real();
+  }
+  const std::complex<Real> CosT(static_cast<Real>(std::cos(Theta)), 0);
+  const std::complex<Real> ISinT(0, static_cast<Real>(std::sin(Theta)));
+  const detail::PauliPhases Ph(P);
+  auto run = [&](const kernels::Ops &K, Plane &R, Plane &I, Acc &Out) {
+    Out.assign(2 * Stride, 0.0);
+    for (bool Fused : {false, true}) {
+      const double *T = Fused ? TRe.data() : nullptr;
+      const double *TI = Fused ? TImNeg.data() : nullptr;
+      if constexpr (std::is_same_v<Real, double>)
+        K.PanelExpF64(R.data(), I.data(), Dim, Stride, P.xMask(), CosT, ISinT,
+                      Ph, T, TI, Out.data(), Out.data() + Stride);
+      else
+        K.PanelExpF32(R.data(), I.data(), Dim, Stride, P.xMask(), CosT, ISinT,
+                      detail::PauliPhasesF32(Ph), T, TI, Out.data(),
+                      Out.data() + Stride);
+    }
+  };
+  Plane Re2 = Re, Im2 = Im;
+  Acc Out, Out2;
+  run(kernels::scalarOps(), Re, Im, Out);
+  run(Tier, Re2, Im2, Out2);
+  if (std::memcmp(Re.data(), Re2.data(), Re.size() * sizeof(Real)) != 0 ||
+      std::memcmp(Im.data(), Im2.data(), Im.size() * sizeof(Real)) != 0)
+    return ::testing::AssertionFailure() << "panel planes differ bitwise";
+  if (std::memcmp(Out.data(), Out2.data(), Out.size() * sizeof(double)) != 0)
+    return ::testing::AssertionFailure() << "fused overlaps differ bitwise";
+  return ::testing::AssertionSuccess();
+}
+
+// Every kernel of \p Tier must reproduce the scalar reference bit for bit:
+// the FP64 and FP32 walks and panels. Starting states are random, basis
+// states, or components drawn from {+0, -0, +1, -1} under angles with
+// cos < 0, where the zero-component products of CosT and ISinT decide the
+// sign of zero results. Dims run from a two-amplitude vector (below every
+// SIMD width) up through 2^7, with butterfly pivots both below and above
+// the vector width, and Z-diagonals.
+void expectKernelsMatchScalar(const kernels::Ops &Tier) {
   RNG Rng(2025);
+  static const double Signed[4] = {0.0, -0.0, 1.0, -1.0};
   for (unsigned N : {1u, 2u, 3u, 5u, 7u}) {
-    for (unsigned Trial = 0; Trial < 16; ++Trial) {
+    for (unsigned Trial = 0; Trial < 24; ++Trial) {
       CVector Start = randomState(N, Rng);
-      if (Trial < 4) { // basis states exercise the sign-of-zero paths
+      double Theta = Rng.gaussian() * 0.7;
+      if (Trial < 4) { // basis states
         Start.assign(Start.size(), Complex(0.0, 0.0));
         Start[Trial % Start.size()] = Complex(1.0, 0.0);
+      } else if (Trial < 12) { // signed zeros, cos(Theta) < 0
+        for (Complex &A : Start)
+          A = Complex(Signed[Rng.uniformInt(4)], Signed[Rng.uniformInt(4)]);
+        Theta = Trial % 2 ? 2.5 : -2.2;
       }
       const PauliString P = randomString(N, Rng, /*ZOnly=*/Trial % 3 == 0);
-      const double Theta = Rng.gaussian() * 0.7;
       CVector A = Start, B = Start;
       applyThrough(kernels::scalarOps(), A, P, Theta);
-      applyThrough(Best, B, P, Theta);
+      applyThrough(Tier, B, P, Theta);
       ASSERT_TRUE(bitIdentical(A, B))
-          << "tier " << Best.Name << ", " << N << " qubits, trial " << Trial;
+          << "tier " << Tier.Name << ", " << N << " qubits, trial " << Trial;
+
+      // The FP32 walk, called exactly as BasicStateVector<float> calls it.
+      StateVectorF32::AmpVector FA(Start.size()), FB;
+      for (size_t I = 0; I < Start.size(); ++I)
+        FA[I] = std::complex<float>(static_cast<float>(Start[I].real()),
+                                    static_cast<float>(Start[I].imag()));
+      FB = FA;
+      const std::complex<float> CosT(static_cast<float>(std::cos(Theta)), 0);
+      const std::complex<float> ISinT(0, static_cast<float>(std::sin(Theta)));
+      const detail::PauliPhasesF32 Phases{detail::PauliPhases(P)};
+      kernels::scalarOps().ExpF32(FA.data(), FA.size(), P.xMask(), CosT,
+                                  ISinT, Phases);
+      Tier.ExpF32(FB.data(), FB.size(), P.xMask(), CosT, ISinT, Phases);
+      ASSERT_EQ(std::memcmp(FA.data(), FB.data(), FA.size() * sizeof(FA[0])),
+                0)
+          << "tier " << Tier.Name << ", fp32, " << N << " qubits, trial "
+          << Trial;
+
+      ASSERT_TRUE(panelsMatchScalar<double>(Tier, Start, P, Theta))
+          << "tier " << Tier.Name << ", " << N << " qubits, trial " << Trial;
+      ASSERT_TRUE(panelsMatchScalar<float>(Tier, Start, P, Theta))
+          << "tier " << Tier.Name << ", fp32, " << N << " qubits, trial "
+          << Trial;
     }
   }
+}
+
+} // namespace
+
+TEST(KernelBitIdentityTest, StateVectorKernelsMatchScalarBitwise) {
+  for (const kernels::Ops *Tier : kernels::availableOps())
+    expectKernelsMatchScalar(*Tier);
+}
+
+// The shared kernel body at 16 bytes, built in this TU at the baseline ISA
+// (SSE2 on x86-64), is the NEON tier's width. No AArch64 host builds this
+// suite, so this is where the NEON tier's arithmetic is held to the scalar
+// reference.
+TEST(KernelBitIdentityTest, SixteenByteBodyMatchesScalarBitwise) {
+  expectKernelsMatchScalar(Body16Ops);
 }
 
 // Panel kernels: a width-1 panel, an odd width straddling the lane padding,
@@ -274,11 +356,11 @@ TEST(KernelBitIdentityTest, PanelKernelsMatchScalarBitwise) {
   for (size_t Cols : {size_t(1), size_t(3), StatePanel::PreferredWidth,
                       size_t(17)}) {
     const auto Basis = randomBasis(N, Cols, Rng);
-    kernels::selectForTesting(/*ForceScalar=*/true);
+    kernels::selectTierForTesting(kernels::scalarOps());
     StatePanel Scalar(N, Basis);
     for (const auto &[P, Theta] : Sched)
       Scalar.applyPauliExpAll(P, Theta);
-    kernels::selectForTesting(/*ForceScalar=*/false);
+    kernels::selectTierForTesting(bestOps());
     StatePanel Simd(N, Basis);
     for (const auto &[P, Theta] : Sched)
       Simd.applyPauliExpAll(P, Theta);
@@ -315,11 +397,11 @@ TEST(KernelBitIdentityTest, Fp32PanelKernelsMatchScalarBitwise) {
   const auto Sched = mixedSchedule(N, Rng);
   for (size_t Cols : {size_t(1), size_t(3), size_t(8), size_t(17)}) {
     const auto Basis = randomBasis(N, Cols, Rng);
-    kernels::selectForTesting(/*ForceScalar=*/true);
+    kernels::selectTierForTesting(kernels::scalarOps());
     StatePanelF32 Scalar(N, Basis);
     for (const auto &[P, Theta] : Sched)
       Scalar.applyPauliExpAll(P, Theta);
-    kernels::selectForTesting(/*ForceScalar=*/false);
+    kernels::selectTierForTesting(bestOps());
     StatePanelF32 Simd(N, Basis);
     for (const auto &[P, Theta] : Sched)
       Simd.applyPauliExpAll(P, Theta);
@@ -365,11 +447,12 @@ TEST(PrecisionTest, Fp32PhaseNarrowingIsExact) {
 }
 
 // Short pivot runs: a butterfly's contiguous run length equals its pivot
-// (the lowest X bit), and every wide tier delegates runs narrower than
-// its vector width down the precedence chain (AVX-512 F64 needs runs of
-// 4, AVX2 F64 runs of 2, and so on). Sweep single-X strings at every
-// qubit position on tiny registers — run lengths 1, 2, 4, 8 — across
-// every tier this host can run, for the FP64 and FP32 interleaved walks.
+// (the lowest X bit), and every wide tier halves its vector width for
+// runs narrower than one vector (an AVX-512 F64 vector holds a run of 4,
+// an AVX2 F64 vector a run of 2, and so on). Sweep single-X strings at
+// every qubit position on tiny registers — run lengths 1, 2, 4, 8 —
+// across every tier this host can run, for the FP64 and FP32 interleaved
+// walks.
 TEST(KernelBitIdentityTest, ShortPivotRunsMatchScalarAcrossTiers) {
   DispatchRestorer Restore;
   RNG Rng(1234);
