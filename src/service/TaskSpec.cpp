@@ -7,24 +7,303 @@
 #include "service/TaskSpec.h"
 
 #include "service/SimulationService.h"
+#include "support/NameTable.h"
 #include "support/Serial.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 using namespace marqsim;
+
+//===----------------------------------------------------------------------===//
+// The field table
+//===----------------------------------------------------------------------===//
+//
+// One row per TaskSpec knob drives every walk over the spec: the CLI parse
+// (fromCommandLine), the "marqsim-spec-v1" codec (toJson/fromJson), the
+// per-field range checks (validate) and the contentKey fold. Adding a
+// field means adding its row; validate() keeps only the rules that span
+// fields.
+//
+// The wire rule mirrors the shard manifests: anything whose *bits* matter
+// downstream — doubles that feed contentKey/fingerprint, 64-bit seeds — is
+// a hex16 string, never a JSON number. Human-scale counts (shots, reps,
+// columns) are plain ints.
+
+namespace {
+
+const char *const MethodNames[] = {"sampling", "trotter",
+                                   "random-order-trotter", "sparsto"};
+const char *const TermOrderNames[] = {"given", "lexicographic",
+                                      "magnitude-descending", "greedy-matched"};
+
+/// How a field is spelled on the wire and on the command line.
+enum Kind {
+  HexDouble, ///< hex16 of the IEEE-754 bits; a decimal flag
+  HexWord,   ///< hex16 of a 64-bit seed; a whole-token decimal flag
+  Int,       ///< a JSON integer; a whole-token decimal flag
+  Bool,      ///< a JSON bool; a bare flag
+  Enum,      ///< one spelling of the row's name table
+};
+
+/// The methods that use a field. Its range check and its key word apply
+/// to those methods only: an unused TrotterReps on a sampling task cannot
+/// change its bits, so it must not change its key.
+constexpr unsigned bit(TaskMethod M) { return 1u << static_cast<unsigned>(M); }
+
+enum Uses : unsigned {
+  ForSampling = bit(TaskMethod::Sampling),
+  ForTrotter = bit(TaskMethod::Trotter),
+  ForSparSto = bit(TaskMethod::SparSto),
+  ForTrotterFamily =
+      ForTrotter | ForSparSto | bit(TaskMethod::RandomOrderTrotter),
+  ForAll = ForSampling | ForTrotterFamily,
+};
+
+/// Whether a used field folds into contentKey.
+enum Key {
+  Never, ///< batch shape and retention: no effect on any output bit
+  Always,
+  /// Only when it differs from the default: fp32 fidelities are different
+  /// bits, but folding a constant for fp64 would shift every key minted
+  /// before the precision tier existed.
+  NonDefault,
+  /// Only when the noise channel is enabled, so every noiseless key
+  /// minted before the noisy tier existed stays valid. Frames minted
+  /// before it carry no "noise" object; its absence decodes as noiseless.
+  Noisy,
+};
+
+/// The range validate() demands of a used field. A noise field is checked
+/// once a channel is selected, even at probability 0.
+enum Check { NoCheck, PositiveFinite, Positive, Unit, AtLeastOne };
+
+/// A member's value as one word: the IEEE-754 bits of a double, else the
+/// integer, bool or enum value. contentKey folds exactly this word.
+uint64_t toWord(double D) { return serial::doubleBits(D); }
+template <typename T> uint64_t toWord(T V) { return static_cast<uint64_t>(V); }
+template <typename T> T fromWord(uint64_t W) { return static_cast<T>(W); }
+template <> double fromWord<double>(uint64_t W) {
+  return serial::bitsToDouble(W);
+}
+
+/// The largest count an integer member holds, capped so that every
+/// accepted count is also a JSON integer.
+template <typename T> constexpr uint64_t maxWord() {
+  if constexpr (std::is_integral_v<T>)
+    return std::min<uint64_t>(std::numeric_limits<T>::max(), INT64_MAX);
+  else
+    return 0;
+}
+
+/// The Get, Set and Max columns of the row for TaskSpec member M.
+#define MEMBER(M)                                                              \
+  [](const TaskSpec &S) { return toWord(S.M); },                               \
+      [](TaskSpec &S, uint64_t W) { S.M = fromWord<decltype(S.M)>(W); },       \
+      maxWord<decltype(std::declval<TaskSpec>().M)>()
+
+struct Field {
+  const char *Path; ///< JSON member; "group.member" inside a nested object
+  const char *Flag; ///< CLI flag without "--", or nullptr
+  Kind K;
+  unsigned UsedBy; ///< Uses bits
+  Key Keyed;
+  uint64_t (*Get)(const TaskSpec &);
+  void (*Set)(TaskSpec &, uint64_t);
+  uint64_t Max;         ///< largest accepted Int: the member type's maximum
+  NameTable Names = {}; ///< Enum spellings
+  Check Range = NoCheck;
+  int64_t Min = 0; ///< smallest accepted Int
+};
+
+// Rows are in contentKey fold order: moving a keyed row re-keys every
+// cache entry and manifest minted before the move.
+const Field Fields[] = {
+    {"method", nullptr, Enum, ForAll, Always, MEMBER(Method), MethodNames},
+    {"time", "time", HexDouble, ForAll, Always, MEMBER(Time), {},
+     PositiveFinite},
+    {"lowering.cross_cancellation", nullptr, Bool, ForAll, Always,
+     MEMBER(Lowering.Emit.CrossCancellation)},
+    {"lowering.use_cdf_sampler", nullptr, Bool, ForAll, Always,
+     MEMBER(Lowering.UseCDFSampler)},
+    {"evaluate.fidelity_columns", "columns", Int, ForAll, Always,
+     MEMBER(Evaluate.FidelityColumns)},
+    {"evaluate.column_seed", nullptr, HexWord, ForAll, Always,
+     MEMBER(Evaluate.ColumnSeed)},
+    {"precision", "precision", Enum, ForAll, NonDefault, MEMBER(Precision),
+     PrecisionNames},
+    {"noise.channel", "noise", Enum, ForAll, Noisy, MEMBER(Noise.Kind),
+     NoiseChannelNames},
+    {"noise.prob", "noise-prob", HexDouble, ForAll, Noisy, MEMBER(Noise.Prob),
+     {}, Unit},
+    {"noise.two_qubit_factor", "noise-2q-factor", HexDouble, ForAll, Noisy,
+     MEMBER(Noise.TwoQubitFactor), {}, PositiveFinite},
+    {"noise.mode", "noise-mode", Enum, ForAll, Noisy, MEMBER(Noise.Mode),
+     NoiseModeNames},
+    // --config/--qd/--gc/--rp set the mix through parseChannelMix.
+    {"mix.qd", nullptr, HexDouble, ForSampling, Always, MEMBER(Mix.WQd)},
+    {"mix.gc", nullptr, HexDouble, ForSampling, Always, MEMBER(Mix.WGc)},
+    {"mix.rp", nullptr, HexDouble, ForSampling, Always, MEMBER(Mix.WRp)},
+    {"perturb_rounds", "rounds", Int, ForSampling, Always,
+     MEMBER(PerturbRounds)},
+    {"perturb_seed", "perturb-seed", HexWord, ForSampling, Always,
+     MEMBER(PerturbSeed)},
+    {"flow.prob_scale", nullptr, Int, ForSampling, Always,
+     MEMBER(Flow.ProbScale), {}, NoCheck, 1},
+    {"flow.cost_scale", nullptr, Int, ForSampling, Always,
+     MEMBER(Flow.CostScale), {}, NoCheck, 1},
+    {"epsilon", "epsilon", HexDouble, ForSampling, Always, MEMBER(Epsilon), {},
+     PositiveFinite},
+    {"use_cdf", "cdf", Bool, ForSampling, Always, MEMBER(UseCDF)},
+    {"trotter_reps", nullptr, Int, ForTrotterFamily, Always,
+     MEMBER(TrotterReps), {}, AtLeastOne},
+    {"trotter_order", nullptr, Int, ForTrotter, Always, MEMBER(TrotterOrder)},
+    {"term_order", nullptr, Enum, ForTrotter, Always, MEMBER(Order),
+     TermOrderNames},
+    {"sparsto_keep_scale", nullptr, HexDouble, ForSparSto, Always,
+     MEMBER(SparStoKeepScale), {}, Positive},
+    {"shots", "shots", Int, ForAll, Never, MEMBER(Shots), {}, AtLeastOne,
+     1},
+    {"jobs", "jobs", Int, ForAll, Never, MEMBER(Jobs)},
+    {"eval_jobs", "eval-jobs", Int, ForAll, Never, MEMBER(EvalJobs)},
+    {"seed", "seed", HexWord, ForAll, Never, MEMBER(Seed)},
+    {"evaluate.export_shot_zero", nullptr, Bool, ForAll, Never,
+     MEMBER(Evaluate.ExportShotZero)},
+    {"evaluate.dump_dot", nullptr, Bool, ForAll, Never,
+     MEMBER(Evaluate.DumpDot)},
+    {"evaluate.keep_results", nullptr, Bool, ForAll, Never,
+     MEMBER(Evaluate.KeepResults)},
+};
+
+#undef MEMBER
+
+/// What a valid value of row F looks like, for error messages.
+std::string spelling(const Field &F, bool Cli) {
+  if (F.K == Int || (Cli && F.K == HexWord))
+    return "an integer in [" + std::to_string(F.Min) + ", " +
+           std::to_string(F.Max) + "]";
+  if (F.K == Enum)
+    return "one of " + F.Names.list();
+  return F.K == Bool ? "a bool" : "a 16-digit hex string";
+}
+
+/// The per-field range checks, naming a failing field by its flag, or by
+/// its JSON path when it has none.
+bool checkFields(const TaskSpec &S, std::string *Error) {
+  for (const Field &F : Fields) {
+    if (F.Range == NoCheck || !(F.UsedBy & bit(S.Method)) ||
+        (F.Keyed == Noisy && S.Noise.Kind == NoiseChannelKind::None))
+      continue;
+    const uint64_t W = F.Get(S);
+    const double X = F.K == HexDouble ? serial::bitsToDouble(W) : W;
+    // Negated comparisons: NaN fails every ordered comparison, so `x <= 0`
+    // forms would let --time=nan through. A NaN SparSto keep scale has
+    // always passed the `x <= 0` form, and still does.
+    const char *Want = nullptr;
+    if (F.Range == PositiveFinite && !(X > 0.0 && std::isfinite(X)))
+      Want = "positive and finite";
+    else if (F.Range == Positive && X <= 0.0)
+      Want = "positive";
+    else if (F.Range == Unit && !(X >= 0.0 && X <= 1.0))
+      Want = "in [0, 1]";
+    else if (F.Range == AtLeastOne && W < 1)
+      Want = "at least 1";
+    if (Want)
+      return detail::fail(Error, (F.Flag ? "--" + std::string(F.Flag)
+                                         : std::string(F.Path)) +
+                                     " must be " + Want);
+  }
+  return true;
+}
+
+/// Word \p W of row F as its JSON member.
+json::Value encode(const Field &F, uint64_t W) {
+  if (F.K == Int)
+    return static_cast<int64_t>(W);
+  if (F.K == Bool)
+    return W != 0;
+  if (F.K == Enum)
+    return F.Names.name(W);
+  return serial::hex16(W);
+}
+
+/// Decodes JSON member \p V of row F into \p W. False when it is absent or
+/// malformed: a frame that lost a field must fail loudly, not run a subtly
+/// different task.
+bool decode(const Field &F, const json::Value *V, uint64_t &W) {
+  if (!V)
+    return false;
+  switch (F.K) {
+  case HexDouble:
+  case HexWord: // asString() is empty for a non-string
+    return V->asString().size() == 16 && serial::parseHex64(V->asString(), W);
+  case Int:
+    W = static_cast<uint64_t>(V->asInt());
+    return V->kind() == json::Value::Kind::Int && V->asInt() >= F.Min &&
+           W <= F.Max;
+  case Bool:
+    W = V->asBool();
+    return V->kind() == json::Value::Kind::Bool;
+  case Enum: {
+    std::optional<size_t> Index = F.Names.find(V->asString());
+    W = Index.value_or(0);
+    return Index.has_value();
+  }
+  }
+  return false;
+}
+
+/// Flag F's value as the JSON member that encodes it (\p W: the current
+/// word), so both front doors share decode(). An integer must be the whole
+/// token, a signed 64-bit decimal as it always was: a count then meets its
+/// range in decode(), and a seed must not be negative. An empty value
+/// keeps the current one.
+json::Value flagValue(const Field &F, const CommandLine &CL, uint64_t W) {
+  const std::string Text = CL.getString(F.Flag);
+  if (F.K == HexDouble)
+    return encode(F, toWord(CL.getDouble(F.Flag, fromWord<double>(W))));
+  if (F.K == Bool)
+    return CL.getBool(F.Flag);
+  if (F.K == Enum)
+    return Text;
+  if (Text.empty())
+    return encode(F, W);
+  const char *End = Text.data() + Text.size();
+  int64_t V = 0;
+  std::from_chars_result R = std::from_chars(Text.data(), End, V);
+  if (R.ec != std::errc() || R.ptr != End || (F.K == HexWord && V < 0))
+    return nullptr;
+  return F.K == Int ? json::Value(V) : encode(F, static_cast<uint64_t>(V));
+}
+
+std::nullopt_t failed(std::string *Error, const std::string &Message) {
+  detail::fail(Error, Message);
+  return std::nullopt;
+}
+
+/// The group object ("mix" for "mix.qd") and member name of a path.
+std::pair<std::string, std::string> splitPath(const char *Path) {
+  const char *Dot = std::strchr(Path, '.');
+  if (!Dot)
+    return {"", Path};
+  return {std::string(Path, Dot), Dot + 1};
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // ChannelMix
 //===----------------------------------------------------------------------===//
 
 std::optional<ChannelMix> ChannelMix::preset(const std::string &Name) {
-  if (Name == "baseline")
-    return ChannelMix{1.0, 0.0, 0.0};
-  if (Name == "gc")
-    return ChannelMix{0.4, 0.6, 0.0};
-  if (Name == "gc-rp")
-    return ChannelMix{0.4, 0.3, 0.3};
-  return std::nullopt;
+  static const char *const Names[] = {"baseline", "gc", "gc-rp"};
+  static const ChannelMix Mixes[] = {
+      {1.0, 0.0, 0.0}, {0.4, 0.6, 0.0}, {0.4, 0.3, 0.3}};
+  std::optional<size_t> Index = NameTable(Names).find(Name);
+  return Index ? std::optional(Mixes[*Index]) : std::nullopt;
 }
 
 bool ChannelMix::normalize() {
@@ -45,32 +324,24 @@ std::optional<ChannelMix>
 marqsim::parseChannelMix(const CommandLine &CL, std::string *Error) {
   std::string Name = CL.getString("config", "gc");
   std::optional<ChannelMix> Mix = ChannelMix::preset(Name);
-  if (!Mix) {
-    detail::fail(Error, "unknown config '" + Name + "'");
-    return std::nullopt;
-  }
+  if (!Mix)
+    return failed(Error, "unknown config '" + Name + "'");
   if (CL.has("qd") || CL.has("gc") || CL.has("rp")) {
-    Mix->WQd = CL.getDouble("qd", 0.0);
-    Mix->WGc = CL.getDouble("gc", 0.0);
-    Mix->WRp = CL.getDouble("rp", 0.0);
     // Diagnose the exact violation instead of renormalizing nonsense:
     // a negative (or NaN) weight is not a distribution, and an all-zero
     // override selects nothing.
-    const struct {
-      const char *Flag;
-      double W;
-    } Weights[] = {{"--qd", Mix->WQd}, {"--gc", Mix->WGc}, {"--rp", Mix->WRp}};
-    for (const auto &Entry : Weights)
-      if (!(Entry.W >= 0.0) || !std::isfinite(Entry.W)) {
-        detail::fail(Error, std::string(Entry.Flag) +
-                                " must be a non-negative finite weight");
-        return std::nullopt;
-      }
-    if (!(Mix->sum() > 0.0)) {
-      detail::fail(Error, "channel weights --qd/--gc/--rp are all zero; at "
-                          "least one must be positive");
-      return std::nullopt;
+    for (auto [Flag, W] : {std::pair{"qd", &ChannelMix::WQd},
+                           std::pair{"gc", &ChannelMix::WGc},
+                           std::pair{"rp", &ChannelMix::WRp}}) {
+      double &Weight = (*Mix).*W;
+      Weight = CL.getDouble(Flag, 0.0);
+      if (!(Weight >= 0.0) || !std::isfinite(Weight))
+        return failed(Error, "--" + std::string(Flag) +
+                                 " must be a non-negative finite weight");
     }
+    if (!(Mix->sum() > 0.0))
+      return failed(Error, "channel weights --qd/--gc/--rp are all zero; at "
+                           "least one must be positive");
     Mix->normalize();
   }
   return Mix;
@@ -81,109 +352,40 @@ marqsim::parseChannelMix(const CommandLine &CL, std::string *Error) {
 //===----------------------------------------------------------------------===//
 
 bool TaskSpec::validate(std::string *Error) const {
-  if (Shots < 1)
-    return detail::fail(Error, "a task needs at least one shot");
-  // !(x > 0) instead of x <= 0: NaN fails every comparison, so the old
-  // form accepted --time=nan.
-  if (!(Time > 0.0) || !std::isfinite(Time))
-    return detail::fail(Error, "evolution time must be positive and finite");
-  if (Noise.Kind != NoiseChannelKind::None) {
-    if (!(Noise.Prob >= 0.0) || !(Noise.Prob <= 1.0))
-      return detail::fail(Error,
-                          "noise probability must be in [0, 1]");
-    if (!(Noise.TwoQubitFactor > 0.0) || !std::isfinite(Noise.TwoQubitFactor))
-      return detail::fail(Error,
-                          "noise 2-qubit factor must be positive and finite");
-    if (Noise.enabled() && Evaluate.FidelityColumns == 0)
-      return detail::fail(Error,
-                          "noise only affects fidelity evaluation; enable it "
-                          "with --columns=N");
-    if (Noise.enabled() && Noise.Mode == NoiseMode::Density &&
-        Precision != EvalPrecision::FP64)
-      return detail::fail(Error,
-                          "the density-matrix noise oracle evaluates in "
-                          "double precision; use --precision=fp64");
-  }
-  switch (Method) {
-  case TaskMethod::Sampling: {
-    if (!(Epsilon > 0.0) || !std::isfinite(Epsilon))
-      return detail::fail(Error,
-                          "target precision epsilon must be positive and "
-                          "finite");
+  if (!checkFields(*this, Error))
+    return false;
+  if (Noise.enabled() && Evaluate.FidelityColumns == 0)
+    return detail::fail(Error, "noise only affects fidelity evaluation; enable "
+                               "it with --columns=N");
+  if (Noise.enabled() && Noise.Mode == NoiseMode::Density &&
+      Precision != EvalPrecision::FP64)
+    return detail::fail(Error, "the density-matrix noise oracle evaluates in "
+                               "double precision; use --precision=fp64");
+  if (Method == TaskMethod::Sampling) {
     ChannelMix Copy = Mix;
     if (!Copy.normalize())
       return detail::fail(Error, "channel weights must be non-negative with a "
-                         "positive sum");
+                                 "positive sum");
     if (Copy.WRp > 0.0 && PerturbRounds < 1)
       return detail::fail(Error, "a positive Prp weight needs at least one "
-                         "perturbation round");
-    break;
+                                 "perturbation round");
   }
-  case TaskMethod::Trotter:
-    if (TrotterOrder != 1 && TrotterOrder != 2 && TrotterOrder != 4)
-      return detail::fail(Error, "supported Trotter orders: 1, 2, 4");
-    [[fallthrough]];
-  case TaskMethod::RandomOrderTrotter:
-  case TaskMethod::SparSto:
-    if (TrotterReps < 1)
-      return detail::fail(Error, "Trotter-family methods need at least one "
-                         "repetition");
-    if (Method == TaskMethod::SparSto && SparStoKeepScale <= 0.0)
-      return detail::fail(Error, "SparSto keep scale must be positive");
-    break;
-  }
+  if (Method == TaskMethod::Trotter && TrotterOrder != 1 &&
+      TrotterOrder != 2 && TrotterOrder != 4)
+    return detail::fail(Error, "supported Trotter orders: 1, 2, 4");
   return true;
 }
 
 uint64_t TaskSpec::contentKey() const {
-  using namespace serial;
-  uint64_t H = FNVOffset;
-  H = fnv1aWord(static_cast<uint64_t>(Method), H);
-  H = fnv1aWord(doubleBits(Time), H);
-  H = fnv1aWord(Lowering.Emit.CrossCancellation ? 1 : 0, H);
-  H = fnv1aWord(Lowering.UseCDFSampler ? 1 : 0, H);
-  H = fnv1aWord(Evaluate.FidelityColumns, H);
-  H = fnv1aWord(Evaluate.ColumnSeed, H);
-  // The precision tier participates only when it deviates from the FP64
-  // default: fp32 fidelities are different bits, but folding a constant
-  // for fp64 would shift every cache key minted before the tier existed.
-  if (Precision != EvalPrecision::FP64)
-    H = fnv1aWord(static_cast<uint64_t>(Precision), H);
-  // Noise follows the same rule: it participates only when enabled, so
-  // every noiseless key (goldens, manifests, cache files) minted before
-  // the noisy tier existed stays valid.
-  if (Noise.enabled()) {
-    H = fnv1aWord(static_cast<uint64_t>(Noise.Kind), H);
-    H = fnv1aWord(doubleBits(Noise.Prob), H);
-    H = fnv1aWord(doubleBits(Noise.TwoQubitFactor), H);
-    H = fnv1aWord(static_cast<uint64_t>(Noise.Mode), H);
-  }
-  // Only the active method's knobs participate: an unused TrotterReps on
-  // a sampling task cannot change its bits, so it must not change its key.
-  switch (Method) {
-  case TaskMethod::Sampling:
-    H = fnv1aWord(doubleBits(Mix.WQd), H);
-    H = fnv1aWord(doubleBits(Mix.WGc), H);
-    H = fnv1aWord(doubleBits(Mix.WRp), H);
-    H = fnv1aWord(PerturbRounds, H);
-    H = fnv1aWord(PerturbSeed, H);
-    H = fnv1aWord(static_cast<uint64_t>(Flow.ProbScale), H);
-    H = fnv1aWord(static_cast<uint64_t>(Flow.CostScale), H);
-    H = fnv1aWord(doubleBits(Epsilon), H);
-    H = fnv1aWord(UseCDF ? 1 : 0, H);
-    break;
-  case TaskMethod::Trotter:
-    H = fnv1aWord(TrotterReps, H);
-    H = fnv1aWord(TrotterOrder, H);
-    H = fnv1aWord(static_cast<uint64_t>(Order), H);
-    break;
-  case TaskMethod::RandomOrderTrotter:
-    H = fnv1aWord(TrotterReps, H);
-    break;
-  case TaskMethod::SparSto:
-    H = fnv1aWord(TrotterReps, H);
-    H = fnv1aWord(doubleBits(SparStoKeepScale), H);
-    break;
+  static const TaskSpec Default;
+  uint64_t H = serial::FNVOffset;
+  for (const Field &F : Fields) {
+    const uint64_t W = F.Get(*this);
+    if ((F.UsedBy & bit(Method)) &&
+        (F.Keyed == Always ||
+         (F.Keyed == NonDefault && W != F.Get(Default)) ||
+         (F.Keyed == Noisy && Noise.enabled())))
+      H = serial::fnv1aWord(W, H);
   }
   return H;
 }
@@ -194,16 +396,15 @@ std::optional<TaskSpec> TaskSpec::fromCommandLine(const CommandLine &CL,
 
   // Hamiltonian source: one positional file path or --model=NAME.
   if (CL.has("model")) {
-    if (!CL.positionals().empty()) {
-      detail::fail(Error, "give either a Hamiltonian file or --model, not both");
-      return std::nullopt;
-    }
+    if (!CL.positionals().empty())
+      return failed(Error, "give either a Hamiltonian file or --model, not "
+                           "both");
     Spec.Source = HamiltonianSource::fromModel(CL.getString("model"));
   } else if (CL.positionals().size() == 1) {
     Spec.Source = HamiltonianSource::fromFile(CL.positionals()[0]);
   } else {
-    detail::fail(Error, "expected exactly one Hamiltonian file (or --model=NAME)");
-    return std::nullopt;
+    return failed(Error,
+                  "expected exactly one Hamiltonian file (or --model=NAME)");
   }
 
   std::optional<ChannelMix> Mix = parseChannelMix(CL, Error);
@@ -211,244 +412,30 @@ std::optional<TaskSpec> TaskSpec::fromCommandLine(const CommandLine &CL,
     return std::nullopt;
   Spec.Mix = *Mix;
 
-  Spec.Time = CL.getDouble("time", Spec.Time);
-  if (!(Spec.Time > 0.0) || !std::isfinite(Spec.Time)) {
-    detail::fail(Error, "--time must be positive and finite");
-    return std::nullopt;
+  for (const Field &F : Fields) {
+    if (!F.Flag || !CL.has(F.Flag))
+      continue;
+    uint64_t W = F.Get(Spec);
+    json::Value Value = flagValue(F, CL, W);
+    if (!decode(F, &Value, W))
+      return failed(Error, "--" + std::string(F.Flag) + " must be " +
+                               spelling(F, /*Cli=*/true) + " (got '" +
+                               CL.getString(F.Flag) + "')");
+    F.Set(Spec, W);
   }
-  Spec.Epsilon = CL.getDouble("epsilon", Spec.Epsilon);
-  if (!(Spec.Epsilon > 0.0) || !std::isfinite(Spec.Epsilon)) {
-    detail::fail(Error, "--epsilon must be positive and finite");
-    return std::nullopt;
-  }
-
-  // Integer flags: every count/seed is parsed signed and range-checked
-  // before the unsigned narrowing (a bare cast would turn --rounds=-3
-  // into ~4 billion perturbation rounds).
-  int64_t Rounds = CL.getInt("rounds", Spec.PerturbRounds);
-  if (Rounds < 0) {
-    detail::fail(Error, "--rounds must be non-negative");
-    return std::nullopt;
-  }
-  Spec.PerturbRounds = static_cast<unsigned>(Rounds);
-
-  int64_t Seed = CL.getInt("seed", static_cast<int64_t>(Spec.Seed));
-  if (Seed < 0) {
-    detail::fail(Error, "--seed must be non-negative");
-    return std::nullopt;
-  }
-  Spec.Seed = static_cast<uint64_t>(Seed);
-
-  int64_t PerturbSeed =
-      CL.getInt("perturb-seed", static_cast<int64_t>(Spec.PerturbSeed));
-  if (PerturbSeed < 0) {
-    detail::fail(Error, "--perturb-seed must be non-negative");
-    return std::nullopt;
-  }
-  Spec.PerturbSeed = static_cast<uint64_t>(PerturbSeed);
-
-  int64_t Shots = CL.getInt("shots", 1);
-  if (Shots < 1) {
-    detail::fail(Error, "--shots must be at least 1");
-    return std::nullopt;
-  }
-  Spec.Shots = static_cast<size_t>(Shots);
-
-  int64_t Jobs = CL.getInt("jobs", 1);
-  if (Jobs < 0) {
-    detail::fail(Error, "--jobs must be non-negative (0 = all cores)");
-    return std::nullopt;
-  }
-  Spec.Jobs = static_cast<unsigned>(Jobs);
-
-  int64_t EvalJobs = CL.getInt("eval-jobs", 1);
-  if (EvalJobs < 0) {
-    detail::fail(Error, "--eval-jobs must be non-negative (0 = all cores)");
-    return std::nullopt;
-  }
-  Spec.EvalJobs = static_cast<unsigned>(EvalJobs);
-
-  int64_t Columns = CL.getInt("columns", 0);
-  if (Columns < 0) {
-    detail::fail(Error, "--columns must be non-negative");
-    return std::nullopt;
-  }
-  Spec.Evaluate.FidelityColumns = static_cast<size_t>(Columns);
-
-  const std::string PrecName = CL.getString("precision", "fp64");
-  std::optional<EvalPrecision> Prec = parsePrecision(PrecName);
-  if (!Prec) {
-    detail::fail(Error, "--precision must be fp64 or fp32 (got '" + PrecName +
-                            "')");
-    return std::nullopt;
-  }
-  Spec.Precision = *Prec;
-
-  const std::string NoiseName = CL.getString("noise", "none");
-  std::optional<NoiseChannelKind> Channel = parseNoiseChannel(NoiseName);
-  if (!Channel) {
-    detail::fail(Error, "--noise must be none, depolarizing, phase-flip, or "
-                        "amplitude-damping (got '" +
-                            NoiseName + "')");
-    return std::nullopt;
-  }
-  Spec.Noise.Kind = *Channel;
   if (Spec.Noise.Kind == NoiseChannelKind::None &&
       (CL.has("noise-prob") || CL.has("noise-2q-factor") ||
-       CL.has("noise-mode"))) {
-    detail::fail(Error, "--noise-prob/--noise-2q-factor/--noise-mode have no "
-                        "effect without --noise=MODEL");
+       CL.has("noise-mode")))
+    return failed(Error, "--noise-prob/--noise-2q-factor/--noise-mode have no "
+                         "effect without --noise=MODEL");
+  if (!checkFields(Spec, Error))
     return std::nullopt;
-  }
-  Spec.Noise.Prob = CL.getDouble("noise-prob", Spec.Noise.Prob);
-  if (!(Spec.Noise.Prob >= 0.0) || !(Spec.Noise.Prob <= 1.0)) {
-    detail::fail(Error, "--noise-prob must be a probability in [0, 1]");
-    return std::nullopt;
-  }
-  Spec.Noise.TwoQubitFactor =
-      CL.getDouble("noise-2q-factor", Spec.Noise.TwoQubitFactor);
-  if (!(Spec.Noise.TwoQubitFactor > 0.0) ||
-      !std::isfinite(Spec.Noise.TwoQubitFactor)) {
-    detail::fail(Error, "--noise-2q-factor must be positive and finite");
-    return std::nullopt;
-  }
-  const std::string ModeName = CL.getString("noise-mode", "stochastic");
-  std::optional<NoiseMode> Mode = parseNoiseMode(ModeName);
-  if (!Mode) {
-    detail::fail(Error, "--noise-mode must be stochastic or density (got '" +
-                            ModeName + "')");
-    return std::nullopt;
-  }
-  Spec.Noise.Mode = *Mode;
-
-  Spec.UseCDF = CL.getBool("cdf");
   return Spec;
 }
 
 //===----------------------------------------------------------------------===//
 // JSON transport
 //===----------------------------------------------------------------------===//
-//
-// The spec travels as "marqsim-spec-v1". The design rule mirrors the
-// shard manifests: anything whose *bits* matter downstream — doubles that
-// feed contentKey/fingerprint, 64-bit seeds — is a hex16 string, never a
-// JSON number. Human-scale counts (shots, reps, columns) are plain ints.
-
-namespace {
-
-const char *methodName(TaskMethod M) {
-  switch (M) {
-  case TaskMethod::Sampling:
-    return "sampling";
-  case TaskMethod::Trotter:
-    return "trotter";
-  case TaskMethod::RandomOrderTrotter:
-    return "random-order-trotter";
-  case TaskMethod::SparSto:
-    return "sparsto";
-  }
-  return "sampling";
-}
-
-std::optional<TaskMethod> parseMethodName(const std::string &Name) {
-  if (Name == "sampling")
-    return TaskMethod::Sampling;
-  if (Name == "trotter")
-    return TaskMethod::Trotter;
-  if (Name == "random-order-trotter")
-    return TaskMethod::RandomOrderTrotter;
-  if (Name == "sparsto")
-    return TaskMethod::SparSto;
-  return std::nullopt;
-}
-
-const char *orderName(TermOrderKind K) {
-  switch (K) {
-  case TermOrderKind::Given:
-    return "given";
-  case TermOrderKind::Lexicographic:
-    return "lexicographic";
-  case TermOrderKind::MagnitudeDescending:
-    return "magnitude-descending";
-  case TermOrderKind::GreedyMatched:
-    return "greedy-matched";
-  }
-  return "given";
-}
-
-std::optional<TermOrderKind> parseOrderName(const std::string &Name) {
-  if (Name == "given")
-    return TermOrderKind::Given;
-  if (Name == "lexicographic")
-    return TermOrderKind::Lexicographic;
-  if (Name == "magnitude-descending")
-    return TermOrderKind::MagnitudeDescending;
-  if (Name == "greedy-matched")
-    return TermOrderKind::GreedyMatched;
-  return std::nullopt;
-}
-
-json::Value hexDouble(double D) { return serial::hex16(serial::doubleBits(D)); }
-json::Value hexWord(uint64_t W) { return serial::hex16(W); }
-
-/// Reads a hex16-encoded word member. False + Error on absence or
-/// malformed hex (missing members are never defaulted: a frame that lost
-/// a field must fail loudly, not run a subtly different task).
-bool readHexWord(const json::Value &Obj, const char *Key, uint64_t &Out,
-                 std::string *Error) {
-  const json::Value *V = Obj.find(Key);
-  if (!V || !V->isString())
-    return detail::fail(Error, std::string("spec json: missing or non-string '") +
-                                   Key + "'");
-  if (V->asString().size() != 16 || !serial::parseHex64(V->asString(), Out))
-    return detail::fail(Error, std::string("spec json: bad hex16 in '") + Key +
-                                   "'");
-  return true;
-}
-
-bool readHexDouble(const json::Value &Obj, const char *Key, double &Out,
-                   std::string *Error) {
-  uint64_t Bits = 0;
-  if (!readHexWord(Obj, Key, Bits, Error))
-    return false;
-  Out = serial::bitsToDouble(Bits);
-  return true;
-}
-
-bool readInt(const json::Value &Obj, const char *Key, int64_t Min,
-             int64_t &Out, std::string *Error) {
-  const json::Value *V = Obj.find(Key);
-  if (!V || V->kind() != json::Value::Kind::Int)
-    return detail::fail(Error, std::string("spec json: missing or non-integer '") +
-                                   Key + "'");
-  if (V->asInt() < Min)
-    return detail::fail(Error, std::string("spec json: '") + Key +
-                                   "' below minimum");
-  Out = V->asInt();
-  return true;
-}
-
-bool readBool(const json::Value &Obj, const char *Key, bool &Out,
-              std::string *Error) {
-  const json::Value *V = Obj.find(Key);
-  if (!V || V->kind() != json::Value::Kind::Bool)
-    return detail::fail(Error, std::string("spec json: missing or non-bool '") +
-                                   Key + "'");
-  Out = V->asBool();
-  return true;
-}
-
-bool readString(const json::Value &Obj, const char *Key, std::string &Out,
-                std::string *Error) {
-  const json::Value *V = Obj.find(Key);
-  if (!V || !V->isString())
-    return detail::fail(Error, std::string("spec json: missing or non-string '") +
-                                   Key + "'");
-  Out = V->asString();
-  return true;
-}
-
-} // namespace
 
 std::optional<json::Value> TaskSpec::toJson(std::string *Error) const {
   // Resolve the source now, uncanonicalized: files and registry models
@@ -462,266 +449,74 @@ std::optional<json::Value> TaskSpec::toJson(std::string *Error) const {
   if (!H)
     return std::nullopt;
 
-  json::Value Ham = json::Value::object();
-  Ham.set("qubits", H->numQubits());
   json::Value Terms = json::Value::array();
   for (const PauliTerm &T : H->terms()) {
     json::Value Term = json::Value::array();
-    Term.push(hexDouble(T.Coeff));
+    Term.push(serial::hex16(serial::doubleBits(T.Coeff)));
     Term.push(T.String.str(H->numQubits()));
     Terms.push(std::move(Term));
   }
-  Ham.set("terms", std::move(Terms));
-
   json::Value V = json::Value::object();
   V.set("format", "marqsim-spec-v1");
-  V.set("hamiltonian", std::move(Ham));
-  V.set("method", methodName(Method));
-  V.set("time", hexDouble(Time));
-  V.set("epsilon", hexDouble(Epsilon));
-  V.set("mix", json::Value::object()
-                   .set("qd", hexDouble(Mix.WQd))
-                   .set("gc", hexDouble(Mix.WGc))
-                   .set("rp", hexDouble(Mix.WRp)));
-  V.set("perturb_rounds", PerturbRounds);
-  V.set("perturb_seed", hexWord(PerturbSeed));
-  V.set("flow", json::Value::object()
-                    .set("prob_scale", Flow.ProbScale)
-                    .set("cost_scale", Flow.CostScale));
-  V.set("use_cdf", UseCDF);
-  V.set("trotter_reps", TrotterReps);
-  V.set("trotter_order", TrotterOrder);
-  V.set("term_order", orderName(Order));
-  V.set("sparsto_keep_scale", hexDouble(SparStoKeepScale));
-  V.set("shots", static_cast<int64_t>(Shots));
-  V.set("jobs", Jobs);
-  V.set("eval_jobs", EvalJobs);
-  V.set("seed", hexWord(Seed));
-  V.set("precision", precisionName(Precision));
-  V.set("noise", json::Value::object()
-                     .set("channel", noiseChannelName(Noise.Kind))
-                     .set("mode", noiseModeName(Noise.Mode))
-                     .set("prob", hexDouble(Noise.Prob))
-                     .set("two_qubit_factor",
-                          hexDouble(Noise.TwoQubitFactor)));
-  V.set("lowering", json::Value::object()
-                        .set("cross_cancellation",
-                             Lowering.Emit.CrossCancellation)
-                        .set("use_cdf_sampler", Lowering.UseCDFSampler));
-  V.set("evaluate",
-        json::Value::object()
-            .set("fidelity_columns",
-                 static_cast<int64_t>(Evaluate.FidelityColumns))
-            .set("column_seed", hexWord(Evaluate.ColumnSeed))
-            .set("export_shot_zero", Evaluate.ExportShotZero)
-            .set("dump_dot", Evaluate.DumpDot)
-            .set("keep_results", Evaluate.KeepResults));
+  V.set("hamiltonian", json::Value::object()
+                           .set("qubits", H->numQubits())
+                           .set("terms", std::move(Terms)));
+  for (const Field &F : Fields) {
+    auto [Group, Member] = splitPath(F.Path);
+    if (!Group.empty() && !V.find(Group))
+      V.set(Group, json::Value::object());
+    (Group.empty() ? V : *V.find(Group)).set(Member, encode(F, F.Get(*this)));
+  }
   return V;
 }
 
 std::optional<TaskSpec> TaskSpec::fromJson(const json::Value &V,
                                            std::string *Error) {
-  if (!V.isObject()) {
-    detail::fail(Error, "spec json: expected an object");
-    return std::nullopt;
-  }
-  std::string Format;
-  if (!readString(V, "format", Format, Error))
-    return std::nullopt;
-  if (Format != "marqsim-spec-v1") {
-    detail::fail(Error, "spec json: unsupported format '" + Format + "'");
-    return std::nullopt;
-  }
-
-  TaskSpec Spec;
+  const json::Value *Format = V.find("format");
+  if (!Format || Format->asString() != "marqsim-spec-v1")
+    return failed(Error, "spec json: missing or unsupported format");
 
   const json::Value *Ham = V.find("hamiltonian");
-  if (!Ham || !Ham->isObject()) {
-    detail::fail(Error, "spec json: missing 'hamiltonian' object");
-    return std::nullopt;
-  }
-  int64_t Qubits = 0;
-  if (!readInt(*Ham, "qubits", 1, Qubits, Error))
-    return std::nullopt;
-  if (Qubits > 64) {
-    detail::fail(Error, "spec json: qubit count above 64");
-    return std::nullopt;
-  }
-  const json::Value *Terms = Ham->find("terms");
-  if (!Terms || !Terms->isArray() || Terms->size() == 0) {
-    detail::fail(Error, "spec json: missing or empty 'hamiltonian.terms'");
-    return std::nullopt;
-  }
-  Hamiltonian H(static_cast<unsigned>(Qubits));
+  const json::Value *Qubits = Ham ? Ham->find("qubits") : nullptr;
+  const json::Value *Terms = Ham ? Ham->find("terms") : nullptr;
+  if (!Qubits || Qubits->asInt() < 1 || Qubits->asInt() > 64)
+    return failed(Error, "spec json: 'hamiltonian.qubits' is missing or not "
+                         "in [1, 64]");
+  if (!Terms || !Terms->isArray() || Terms->size() == 0)
+    return failed(Error, "spec json: missing or empty 'hamiltonian.terms'");
+  Hamiltonian H(static_cast<unsigned>(Qubits->asInt()));
   for (size_t I = 0; I < Terms->size(); ++I) {
     const json::Value &Term = Terms->at(I);
-    if (!Term.isArray() || Term.size() != 2 || !Term.at(0).isString() ||
-        !Term.at(1).isString()) {
-      detail::fail(Error, "spec json: each term must be [coeff-hex, paulis]");
-      return std::nullopt;
-    }
     uint64_t Bits = 0;
-    if (Term.at(0).asString().size() != 16 ||
-        !serial::parseHex64(Term.at(0).asString(), Bits)) {
-      detail::fail(Error, "spec json: bad coefficient hex in term");
-      return std::nullopt;
-    }
+    // asString() is empty for a non-string, which no check below accepts.
+    if (!Term.isArray() || Term.size() != 2 ||
+        Term.at(0).asString().size() != 16 ||
+        !serial::parseHex64(Term.at(0).asString(), Bits))
+      return failed(Error, "spec json: each term must be [coeff-hex16, "
+                           "paulis]");
     const std::string &Text = Term.at(1).asString();
     std::optional<PauliString> P = PauliString::parse(Text);
-    if (!P || Text.size() != static_cast<size_t>(Qubits)) {
-      detail::fail(Error, "spec json: malformed Pauli string '" + Text + "'");
-      return std::nullopt;
-    }
+    if (!P || Text.size() != H.numQubits())
+      return failed(Error, "spec json: malformed Pauli string '" + Text + "'");
     H.addTerm(serial::bitsToDouble(Bits), *P);
   }
-  if (H.empty()) {
-    detail::fail(Error, "spec json: Hamiltonian has no nonzero terms");
-    return std::nullopt;
-  }
+  if (H.empty())
+    return failed(Error, "spec json: Hamiltonian has no nonzero terms");
+
+  TaskSpec Spec;
   Spec.Source = HamiltonianSource::fromHamiltonian(std::move(H));
-
-  std::string MethodText;
-  if (!readString(V, "method", MethodText, Error))
-    return std::nullopt;
-  std::optional<TaskMethod> M = parseMethodName(MethodText);
-  if (!M) {
-    detail::fail(Error, "spec json: unknown method '" + MethodText + "'");
-    return std::nullopt;
+  for (const Field &F : Fields) {
+    auto [Group, Member] = splitPath(F.Path);
+    const json::Value *Obj = Group.empty() ? &V : V.find(Group);
+    if (!Obj && F.Keyed == Noisy)
+      continue;
+    uint64_t W = 0;
+    if (!decode(F, Obj ? Obj->find(Member) : nullptr, W))
+      return failed(Error, "spec json: '" + std::string(F.Path) +
+                               "' is missing or not " +
+                               spelling(F, /*Cli=*/false));
+    F.Set(Spec, W);
   }
-  Spec.Method = *M;
-
-  if (!readHexDouble(V, "time", Spec.Time, Error) ||
-      !readHexDouble(V, "epsilon", Spec.Epsilon, Error))
-    return std::nullopt;
-
-  const json::Value *MixObj = V.find("mix");
-  if (!MixObj || !MixObj->isObject()) {
-    detail::fail(Error, "spec json: missing 'mix' object");
-    return std::nullopt;
-  }
-  if (!readHexDouble(*MixObj, "qd", Spec.Mix.WQd, Error) ||
-      !readHexDouble(*MixObj, "gc", Spec.Mix.WGc, Error) ||
-      !readHexDouble(*MixObj, "rp", Spec.Mix.WRp, Error))
-    return std::nullopt;
-
-  int64_t Tmp = 0;
-  if (!readInt(V, "perturb_rounds", 0, Tmp, Error))
-    return std::nullopt;
-  Spec.PerturbRounds = static_cast<unsigned>(Tmp);
-  if (!readHexWord(V, "perturb_seed", Spec.PerturbSeed, Error))
-    return std::nullopt;
-
-  const json::Value *Flow = V.find("flow");
-  if (!Flow || !Flow->isObject()) {
-    detail::fail(Error, "spec json: missing 'flow' object");
-    return std::nullopt;
-  }
-  if (!readInt(*Flow, "prob_scale", 1, Spec.Flow.ProbScale, Error) ||
-      !readInt(*Flow, "cost_scale", 1, Spec.Flow.CostScale, Error))
-    return std::nullopt;
-
-  if (!readBool(V, "use_cdf", Spec.UseCDF, Error))
-    return std::nullopt;
-  if (!readInt(V, "trotter_reps", 0, Tmp, Error))
-    return std::nullopt;
-  Spec.TrotterReps = static_cast<unsigned>(Tmp);
-  if (!readInt(V, "trotter_order", 0, Tmp, Error))
-    return std::nullopt;
-  Spec.TrotterOrder = static_cast<unsigned>(Tmp);
-
-  std::string OrderText;
-  if (!readString(V, "term_order", OrderText, Error))
-    return std::nullopt;
-  std::optional<TermOrderKind> Order = parseOrderName(OrderText);
-  if (!Order) {
-    detail::fail(Error, "spec json: unknown term order '" + OrderText + "'");
-    return std::nullopt;
-  }
-  Spec.Order = *Order;
-
-  if (!readHexDouble(V, "sparsto_keep_scale", Spec.SparStoKeepScale, Error))
-    return std::nullopt;
-
-  if (!readInt(V, "shots", 1, Tmp, Error))
-    return std::nullopt;
-  Spec.Shots = static_cast<size_t>(Tmp);
-  if (!readInt(V, "jobs", 0, Tmp, Error))
-    return std::nullopt;
-  Spec.Jobs = static_cast<unsigned>(Tmp);
-  if (!readInt(V, "eval_jobs", 0, Tmp, Error))
-    return std::nullopt;
-  Spec.EvalJobs = static_cast<unsigned>(Tmp);
-  if (!readHexWord(V, "seed", Spec.Seed, Error))
-    return std::nullopt;
-
-  std::string PrecText;
-  if (!readString(V, "precision", PrecText, Error))
-    return std::nullopt;
-  std::optional<EvalPrecision> Prec = parsePrecision(PrecText);
-  if (!Prec) {
-    detail::fail(Error, "spec json: unknown precision '" + PrecText + "'");
-    return std::nullopt;
-  }
-  Spec.Precision = *Prec;
-
-  // "noise" is optional: v1 frames minted before the noisy tier carry no
-  // noise object, and its absence means exactly what the default spec
-  // means — noiseless. When present, every field is required.
-  if (const json::Value *Noise = V.find("noise")) {
-    if (!Noise->isObject()) {
-      detail::fail(Error, "spec json: 'noise' must be an object");
-      return std::nullopt;
-    }
-    std::string ChannelText, ModeText;
-    if (!readString(*Noise, "channel", ChannelText, Error) ||
-        !readString(*Noise, "mode", ModeText, Error))
-      return std::nullopt;
-    std::optional<NoiseChannelKind> Channel = parseNoiseChannel(ChannelText);
-    if (!Channel) {
-      detail::fail(Error,
-                   "spec json: unknown noise channel '" + ChannelText + "'");
-      return std::nullopt;
-    }
-    Spec.Noise.Kind = *Channel;
-    std::optional<NoiseMode> Mode = parseNoiseMode(ModeText);
-    if (!Mode) {
-      detail::fail(Error, "spec json: unknown noise mode '" + ModeText + "'");
-      return std::nullopt;
-    }
-    Spec.Noise.Mode = *Mode;
-    if (!readHexDouble(*Noise, "prob", Spec.Noise.Prob, Error) ||
-        !readHexDouble(*Noise, "two_qubit_factor", Spec.Noise.TwoQubitFactor,
-                       Error))
-      return std::nullopt;
-  }
-
-  const json::Value *Lowering = V.find("lowering");
-  if (!Lowering || !Lowering->isObject()) {
-    detail::fail(Error, "spec json: missing 'lowering' object");
-    return std::nullopt;
-  }
-  if (!readBool(*Lowering, "cross_cancellation",
-                Spec.Lowering.Emit.CrossCancellation, Error) ||
-      !readBool(*Lowering, "use_cdf_sampler", Spec.Lowering.UseCDFSampler,
-                Error))
-    return std::nullopt;
-
-  const json::Value *Eval = V.find("evaluate");
-  if (!Eval || !Eval->isObject()) {
-    detail::fail(Error, "spec json: missing 'evaluate' object");
-    return std::nullopt;
-  }
-  if (!readInt(*Eval, "fidelity_columns", 0, Tmp, Error))
-    return std::nullopt;
-  Spec.Evaluate.FidelityColumns = static_cast<size_t>(Tmp);
-  if (!readHexWord(*Eval, "column_seed", Spec.Evaluate.ColumnSeed, Error))
-    return std::nullopt;
-  if (!readBool(*Eval, "export_shot_zero", Spec.Evaluate.ExportShotZero,
-                Error) ||
-      !readBool(*Eval, "dump_dot", Spec.Evaluate.DumpDot, Error) ||
-      !readBool(*Eval, "keep_results", Spec.Evaluate.KeepResults, Error))
-    return std::nullopt;
-
   if (!Spec.validate(Error))
     return std::nullopt;
   return Spec;

@@ -228,29 +228,31 @@ struct TaskSpec {
 
   EvaluateSpec Evaluate;
 
-  /// Structural validation (positive time/epsilon/shots, normalizable
-  /// mix, supported Trotter order). Returns false and fills \p Error on
-  /// violations. run() validates implicitly.
+  /// Structural validation: the per-field range checks of the field table
+  /// in TaskSpec.cpp (positive finite time and epsilon, noise probability
+  /// in [0, 1], at least one shot, ...) for the fields the method uses,
+  /// plus the rules that span fields (normalizable mix, Prp rounds for a
+  /// positive Prp weight, supported Trotter order, noise needs fidelity
+  /// columns, the density oracle needs fp64). Returns false and fills
+  /// \p Error on violations. run() validates implicitly.
   bool validate(std::string *Error = nullptr) const;
 
   /// Content hash of every knob that shapes the compiled bits beyond the
-  /// Hamiltonian itself: method, mix weights, flow options, perturbation
-  /// rounds/seed, time, epsilon, sampler kind, Trotter parameters,
-  /// lowering, and fidelity evaluation. Excludes the source (the
-  /// Hamiltonian fingerprint covers it), Shots and Seed (shard manifests
-  /// check those explicitly), and Jobs (no effect on results). Two specs
-  /// with equal fingerprint, seed, shot count, and contentKey produce
-  /// bit-identical batches.
+  /// Hamiltonian itself. Which fields it folds, and in which order, is the
+  /// key rule of each row of the field table in TaskSpec.cpp: a field the
+  /// method does not use, a batch-shape knob (Shots, Seed, Jobs,
+  /// EvalJobs: shard manifests check Shots and Seed explicitly), and the
+  /// source (the Hamiltonian fingerprint covers it) never take part. Two
+  /// specs with equal fingerprint, seed, shot count, and contentKey
+  /// produce bit-identical batches.
   uint64_t contentKey() const;
 
   /// Parses the common CLI surface into a spec: positional Hamiltonian
-  /// file or --model=NAME, --time/--epsilon, --config + --qd/--gc/--rp,
-  /// --rounds/--perturb-seed, --seed/--shots/--jobs/--eval-jobs,
-  /// --columns (fidelity), --precision (fp64/fp32),
-  /// --noise/--noise-prob/--noise-2q-factor/--noise-mode, --cdf. Rejects
-  /// negative counts/seeds, non-positive or non-finite time/epsilon,
-  /// out-of-range noise probabilities, and unknown precision/channel/mode
-  /// names.
+  /// file or --model=NAME, --config + --qd/--gc/--rp (parseChannelMix),
+  /// and every flag of the field table in TaskSpec.cpp. Integer flags
+  /// must be the whole token and fit their member; every flag gets its
+  /// field's range check. Rejects --noise-prob/--noise-2q-factor/
+  /// --noise-mode without --noise. The error names the flag.
   static std::optional<TaskSpec> fromCommandLine(const CommandLine &CL,
                                                  std::string *Error = nullptr);
 
@@ -266,9 +268,10 @@ struct TaskSpec {
   std::optional<json::Value> toJson(std::string *Error = nullptr) const;
 
   /// Inverse of toJson. Strict: unknown versions, missing fields, bad hex
-  /// widths, and malformed Pauli strings are rejected with \p Error. The
-  /// round trip preserves contentKey() and the resolved Hamiltonian's
-  /// fingerprint() exactly.
+  /// widths, integers outside their member's range, and malformed Pauli
+  /// strings are rejected with \p Error naming the member. The round trip
+  /// preserves contentKey() and the resolved Hamiltonian's fingerprint()
+  /// exactly.
   static std::optional<TaskSpec> fromJson(const json::Value &V,
                                           std::string *Error = nullptr);
 };

@@ -19,42 +19,20 @@ using namespace marqsim;
 //===----------------------------------------------------------------------===//
 
 const char *marqsim::noiseChannelName(NoiseChannelKind K) {
-  switch (K) {
-  case NoiseChannelKind::None:
-    return "none";
-  case NoiseChannelKind::Depolarizing:
-    return "depolarizing";
-  case NoiseChannelKind::PhaseFlip:
-    return "phase-flip";
-  case NoiseChannelKind::AmplitudeDamping:
-    return "amplitude-damping";
-  }
-  return "none";
+  return enumName(NoiseChannelNames, K);
 }
 
 std::optional<NoiseChannelKind>
 marqsim::parseNoiseChannel(const std::string &Name) {
-  if (Name == "none")
-    return NoiseChannelKind::None;
-  if (Name == "depolarizing")
-    return NoiseChannelKind::Depolarizing;
-  if (Name == "phase-flip")
-    return NoiseChannelKind::PhaseFlip;
-  if (Name == "amplitude-damping")
-    return NoiseChannelKind::AmplitudeDamping;
-  return std::nullopt;
+  return parseEnumName<NoiseChannelKind>(NoiseChannelNames, Name);
 }
 
 const char *marqsim::noiseModeName(NoiseMode M) {
-  return M == NoiseMode::Density ? "density" : "stochastic";
+  return enumName(NoiseModeNames, M);
 }
 
 std::optional<NoiseMode> marqsim::parseNoiseMode(const std::string &Name) {
-  if (Name == "stochastic")
-    return NoiseMode::Stochastic;
-  if (Name == "density")
-    return NoiseMode::Density;
-  return std::nullopt;
+  return parseEnumName<NoiseMode>(NoiseModeNames, Name);
 }
 
 //===----------------------------------------------------------------------===//

@@ -38,6 +38,7 @@
 
 #include "circuit/PauliEvolution.h"
 #include "linalg/Matrix.h"
+#include "support/NameTable.h"
 #include "support/RNG.h"
 
 #include <optional>
@@ -61,6 +62,11 @@ enum class NoiseMode {
   Stochastic, ///< per-shot Pauli-twirl injection (any n)
   Density,    ///< deterministic density-matrix / superoperator oracle
 };
+
+/// CLI/stats spellings of the channels and modes, indexed by the enums.
+inline constexpr const char *NoiseChannelNames[] = {
+    "none", "depolarizing", "phase-flip", "amplitude-damping"};
+inline constexpr const char *NoiseModeNames[] = {"stochastic", "density"};
 
 /// CLI/stats spelling of a channel ("none", "depolarizing", ...).
 const char *noiseChannelName(NoiseChannelKind K);

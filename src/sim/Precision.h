@@ -21,8 +21,7 @@
 #ifndef MARQSIM_SIM_PRECISION_H
 #define MARQSIM_SIM_PRECISION_H
 
-#include <optional>
-#include <string>
+#include "support/NameTable.h"
 
 namespace marqsim {
 
@@ -32,18 +31,17 @@ enum class EvalPrecision {
   FP32, ///< float panel amplitudes; tolerance-defined, opt-in
 };
 
+/// CLI/stats spellings of the tiers, indexed by EvalPrecision.
+inline constexpr const char *PrecisionNames[] = {"fp64", "fp32"};
+
 /// CLI/stats spelling of a tier ("fp64" / "fp32").
 inline const char *precisionName(EvalPrecision P) {
-  return P == EvalPrecision::FP32 ? "fp32" : "fp64";
+  return enumName(PrecisionNames, P);
 }
 
 /// Inverse of precisionName. std::nullopt for unknown spellings.
 inline std::optional<EvalPrecision> parsePrecision(const std::string &Name) {
-  if (Name == "fp64")
-    return EvalPrecision::FP64;
-  if (Name == "fp32")
-    return EvalPrecision::FP32;
-  return std::nullopt;
+  return parseEnumName<EvalPrecision>(PrecisionNames, Name);
 }
 
 } // namespace marqsim

@@ -86,6 +86,9 @@ public:
 
   /// Member lookup; nullptr when absent or not an object.
   const Value *find(const std::string &Key) const;
+  Value *find(const std::string &Key) {
+    return const_cast<Value *>(std::as_const(*this).find(Key));
+  }
 
   /// Appends an array element; asserts on non-arrays.
   void push(Value V);

@@ -837,6 +837,57 @@ TEST(TaskSpecParseTest, NoiseOffSpecsKeepContentKeys) {
   EXPECT_EQ(Base.contentKey(), NoisyKey);
 }
 
+TEST(TaskSpecParseTest, RejectsOutOfRangeAndGarbageIntegers) {
+  // Both front doors take an integer whole and in its member's range.
+  // Counts used to be range-checked only from below and then narrowed:
+  // --rounds=4294967297 ran one round, --jobs=4294967296 meant all cores,
+  // and strtoll read --shots=3x as 3.
+  std::string Error;
+  const std::pair<const char *, const char *> BadFlags[] = {
+      {"--rounds=4294967297", "--rounds"},
+      {"--jobs=4294967296", "--jobs"},
+      {"--eval-jobs=4294967296", "--eval-jobs"},
+      {"--shots=3x", "--shots"},
+      {"--shots=+3", "--shots"},
+      {"--shots=9223372036854775808", "--shots"},
+      {"--columns=1e3", "--columns"},
+      {"--rounds= 5", "--rounds"},
+      {"--seed=9223372036854775808", "--seed"},
+      {"--seed=18446744073709551616", "--seed"},
+      {"--perturb-seed=0x10", "--perturb-seed"},
+  };
+  for (const auto &[Flag, Name] : BadFlags) {
+    EXPECT_FALSE(parseArgs({"h.txt", Flag}, &Error)) << Flag;
+    EXPECT_NE(Error.find(Name), std::string::npos) << Flag << ": " << Error;
+  }
+  std::optional<TaskSpec> Edge =
+      parseArgs({"h.txt", "--rounds=4294967295", "--jobs=4294967295",
+                 "--seed=9223372036854775807", "--shots=7"});
+  ASSERT_TRUE(Edge);
+  EXPECT_EQ(Edge->PerturbRounds, 4294967295u);
+  EXPECT_EQ(Edge->Jobs, 4294967295u);
+  EXPECT_EQ(Edge->Seed, 9223372036854775807ull);
+  EXPECT_EQ(Edge->Shots, 7u);
+
+  std::optional<json::Value> Good = testSpec(testHamiltonian()).toJson();
+  ASSERT_TRUE(Good);
+  ASSERT_TRUE(TaskSpec::fromJson(*Good, &Error)) << Error;
+  const char *const Counts[] = {"perturb_rounds", "trotter_reps",
+                                "trotter_order", "jobs", "eval_jobs"};
+  for (const char *Key : Counts)
+    for (int64_t Value : {int64_t(4294967296), int64_t(4294967297), int64_t(-1)}) {
+      json::Value Bad = *Good;
+      Bad.set(Key, Value);
+      EXPECT_FALSE(TaskSpec::fromJson(Bad, &Error)) << Key << "=" << Value;
+      EXPECT_NE(Error.find(Key), std::string::npos) << Error;
+    }
+  json::Value MaxRounds = *Good;
+  MaxRounds.set("perturb_rounds", int64_t(4294967295));
+  std::optional<TaskSpec> Max = TaskSpec::fromJson(MaxRounds, &Error);
+  ASSERT_TRUE(Max) << Error;
+  EXPECT_EQ(Max->PerturbRounds, 4294967295u);
+}
+
 TEST(ServiceFidelityTest, Fp32PrecisionTracksFp64) {
   SimulationService Service;
   TaskSpec Spec = testSpec(testHamiltonian());

@@ -8,7 +8,6 @@
 #include "linalg/Expm.h"
 #include "sim/Evolution.h"
 #include "sim/Fidelity.h"
-#include "sim/Observables.h"
 #include "sim/StatePanel.h"
 #include "sim/StateVector.h"
 #include "support/RNG.h"
@@ -242,46 +241,6 @@ TEST(EvolutionTest, ZeroTimeIsIdentity) {
   CVector Out = evolveExact(H, 0.0, In);
   for (size_t I = 0; I < In.size(); ++I)
     EXPECT_NEAR(std::abs(Out[I] - In[I]), 0.0, 1e-12);
-}
-
-TEST(ObservablesTest, BasisStateExpectations) {
-  StateVector SV(3, 0b101);
-  // <Z_q> = +1 for bit 0, -1 for bit 1.
-  EXPECT_NEAR(expectation(SV, PauliString(0, 1ULL << 0)), -1.0, 1e-14);
-  EXPECT_NEAR(expectation(SV, PauliString(0, 1ULL << 1)), 1.0, 1e-14);
-  EXPECT_NEAR(expectation(SV, PauliString(0, 1ULL << 2)), -1.0, 1e-14);
-  // <X> vanishes on computational basis states.
-  EXPECT_NEAR(expectation(SV, PauliString(1ULL << 0, 0)), 0.0, 1e-14);
-  EXPECT_NEAR(occupation(SV, 0), 1.0, 1e-14);
-  EXPECT_NEAR(occupation(SV, 1), 0.0, 1e-14);
-  EXPECT_NEAR(spinZ(SV, 1), 0.5, 1e-14);
-}
-
-TEST(ObservablesTest, PlusStateSeesX) {
-  StateVector SV(1, 0);
-  SV.apply(Gate(GateKind::H, 0));
-  EXPECT_NEAR(expectation(SV, PauliString(1, 0)), 1.0, 1e-14); // <X> = 1
-  EXPECT_NEAR(expectation(SV, PauliString(0, 1)), 0.0, 1e-14); // <Z> = 0
-}
-
-TEST(ObservablesTest, MatchesDenseQuadraticForm) {
-  RNG Rng(83);
-  Hamiltonian H = makeRandomHamiltonian(3, 6, Rng);
-  CVector Amp = randomState(3, Rng);
-  StateVector SV(3, Amp);
-  double Direct = expectation(SV, H);
-  CVector HPsi = H.toMatrix() * Amp;
-  double Dense = innerProduct(Amp, HPsi).real();
-  EXPECT_NEAR(Direct, Dense, 1e-10);
-}
-
-TEST(ObservablesTest, EnergyConservedUnderExactEvolution) {
-  Hamiltonian H = makeHeisenbergXXZ(4, 1.0, 1.0, 0.5, 0.2);
-  CVector Basis(16, Complex(0, 0));
-  Basis[0b0101] = 1.0;
-  StateVector Before(4, Basis);
-  StateVector After(4, evolveExact(H, 0.9, Basis));
-  EXPECT_NEAR(expectation(Before, H), expectation(After, H), 1e-9);
 }
 
 TEST(FidelityTest, IdenticalUnitariesGiveOne) {

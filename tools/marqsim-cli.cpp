@@ -18,6 +18,9 @@
 //     --rounds=K          Prp perturbation rounds (default 8)
 //     --perturb-seed=S    Prp cost-perturbation seed (default fixed)
 //     --seed=S            sampling seed (default 1)
+//     --cdf               sample with the O(log n) CDF sampler instead of
+//                         alias tables (ablation: same distribution,
+//                         different draws)
 //     --shots=N           independent compilation shots (default 1); the
 //                         QASM output is always shot 0
 //     --jobs=J            worker threads for the batch (default 1, 0 = all
@@ -320,8 +323,9 @@ int main(int Argc, char **Argv) {
     std::cerr << "usage: marqsim-cli <hamiltonian.txt> | --model=NAME\n"
                  "  [--time=T] [--epsilon=E]\n"
                  "  [--config=baseline|gc|gc-rp] [--qd=W --gc=W --rp=W]\n"
-                 "  [--rounds=K] [--perturb-seed=S] [--seed=S] [--shots=N]\n"
-                 "  [--jobs=J] [--eval-jobs=J] [--shards=K] [--shard-dir=DIR]\n"
+                 "  [--rounds=K] [--perturb-seed=S] [--seed=S] [--cdf]\n"
+                 "  [--shots=N] [--jobs=J] [--eval-jobs=J]\n"
+                 "  [--shards=K] [--shard-dir=DIR]\n"
                  "  [--workers=HOST:PORT,...] [--fleet-timeout-ms=T]\n"
                  "  [--columns=K] [--precision=fp64|fp32]\n"
                  "  [--noise=MODEL] [--noise-prob=P] [--noise-2q-factor=F]\n"
