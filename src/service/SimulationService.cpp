@@ -284,7 +284,7 @@ struct SimulationService::Impl {
         [&] {
           return FidelityEvaluator(H, Spec.Time,
                                    Spec.Evaluate.FidelityColumns,
-                                   Spec.Evaluate.ColumnSeed);
+                                   Spec.Evaluate.ColumnSeed, Spec.Jobs);
         },
         &Out);
     CacheStats Delta;

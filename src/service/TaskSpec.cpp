@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -187,6 +188,8 @@ std::string spelling(const Field &F, bool Cli) {
            std::to_string(F.Max) + "]";
   if (F.K == Enum)
     return "one of " + F.Names.list();
+  if (Cli && F.K == HexDouble)
+    return "a decimal number";
   return F.K == Bool ? "a bool" : "a 16-digit hex string";
 }
 
@@ -256,15 +259,31 @@ bool decode(const Field &F, const json::Value *V, uint64_t &W) {
   return false;
 }
 
+/// A decimal flag value in strtod's syntax, which must span the whole
+/// token: "3x" is an error, not 3. Empty text gives \p Default.
+std::optional<double> wholeDouble(const std::string &Text, double Default) {
+  if (Text.empty())
+    return Default;
+  char *End = nullptr;
+  const double V = std::strtod(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size())
+    return std::nullopt;
+  return V;
+}
+
 /// Flag F's value as the JSON member that encodes it (\p W: the current
-/// word), so both front doors share decode(). An integer must be the whole
-/// token, a signed 64-bit decimal as it always was: a count then meets its
-/// range in decode(), and a seed must not be negative. An empty value
-/// keeps the current one.
+/// word), so both front doors share decode(). A number must be the whole
+/// token; an integer is a signed 64-bit decimal as it always was: a count
+/// then meets its range in decode(), and a seed must not be negative. An
+/// empty value keeps the current one.
 json::Value flagValue(const Field &F, const CommandLine &CL, uint64_t W) {
   const std::string Text = CL.getString(F.Flag);
-  if (F.K == HexDouble)
-    return encode(F, toWord(CL.getDouble(F.Flag, fromWord<double>(W))));
+  if (F.K == HexDouble) {
+    std::optional<double> V = wholeDouble(Text, fromWord<double>(W));
+    if (!V)
+      return nullptr;
+    return encode(F, toWord(*V));
+  }
   if (F.K == Bool)
     return CL.getBool(F.Flag);
   if (F.K == Enum)
@@ -333,11 +352,11 @@ marqsim::parseChannelMix(const CommandLine &CL, std::string *Error) {
     for (auto [Flag, W] : {std::pair{"qd", &ChannelMix::WQd},
                            std::pair{"gc", &ChannelMix::WGc},
                            std::pair{"rp", &ChannelMix::WRp}}) {
-      double &Weight = (*Mix).*W;
-      Weight = CL.getDouble(Flag, 0.0);
-      if (!(Weight >= 0.0) || !std::isfinite(Weight))
+      std::optional<double> Weight = wholeDouble(CL.getString(Flag), 0.0);
+      if (!Weight || !(*Weight >= 0.0) || !std::isfinite(*Weight))
         return failed(Error, "--" + std::string(Flag) +
                                  " must be a non-negative finite weight");
+      (*Mix).*W = *Weight;
     }
     if (!(Mix->sum() > 0.0))
       return failed(Error, "channel weights --qd/--gc/--rp are all zero; at "

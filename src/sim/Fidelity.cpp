@@ -38,7 +38,8 @@ double marqsim::unitaryFidelity(const Matrix &UApp, const Matrix &UExact) {
 }
 
 FidelityEvaluator::FidelityEvaluator(const Hamiltonian &H, double T,
-                                     size_t NumColumns, uint64_t Seed)
+                                     size_t NumColumns, uint64_t Seed,
+                                     unsigned Jobs)
     : NQubits(H.numQubits()),
       PanelCache(std::make_shared<detail::TargetPanelCache>()) {
   const size_t Dim = size_t(1) << NQubits;
@@ -60,12 +61,21 @@ FidelityEvaluator::FidelityEvaluator(const Hamiltonian &H, double T,
     std::sort(Columns.begin(), Columns.end());
   }
 
-  Targets.reserve(Columns.size());
-  for (uint64_t X : Columns) {
-    CVector Basis(Dim, Complex(0.0, 0.0));
-    Basis[X] = 1.0;
-    Targets.push_back(evolveExact(H, T, Basis));
-  }
+  // The columns evolve in fixed blocks of PreferredWidth, one panel each.
+  // A column's bits do not depend on its panel, so neither the partition
+  // nor Jobs can move a target.
+  constexpr size_t Width = StatePanel::PreferredWidth;
+  const size_t Blocks = (Columns.size() + Width - 1) / Width;
+  Targets.resize(Columns.size());
+  parallelFor(Blocks, Jobs, [&](size_t Block) {
+    const size_t Begin = Block * Width;
+    const size_t End = std::min(Begin + Width, Columns.size());
+    std::vector<CVector> Basis(End - Begin, CVector(Dim, Complex(0.0, 0.0)));
+    for (size_t C = Begin; C < End; ++C)
+      Basis[C - Begin][Columns[C]] = 1.0;
+    std::vector<CVector> Evolved = evolveExactPanel(H, T, Basis);
+    std::move(Evolved.begin(), Evolved.end(), Targets.begin() + Begin);
+  });
 }
 
 FidelityEvaluator::FidelityEvaluator(unsigned NQubits,

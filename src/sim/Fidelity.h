@@ -70,9 +70,12 @@ class FidelityEvaluator {
 public:
   /// Precomputes target columns e^{iHt}|x> for \p NumColumns basis states
   /// (all columns if NumColumns >= 2^n, making the estimate exact).
-  /// Column choice is deterministic in \p Seed.
+  /// Column choice is deterministic in \p Seed. The columns evolve in
+  /// fixed blocks of StatePanel::PreferredWidth (evolveExactPanel), which
+  /// \p Jobs fans across that many workers (0 = all cores); Jobs never
+  /// changes a bit of the targets.
   FidelityEvaluator(const Hamiltonian &H, double T, size_t NumColumns,
-                    uint64_t Seed = 7);
+                    uint64_t Seed = 7, unsigned Jobs = 1);
 
   /// Rehydrates an evaluator from previously computed targets (the
   /// ArtifactStore's disk tier). \p Targets must be the exact columns the

@@ -35,6 +35,8 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <thread>
 
 using namespace marqsim;
@@ -177,6 +179,44 @@ bool claimAllArtifacts(Socket &S, const Frame &F) {
                          .set("id", F.Body.find("id")->asString())
                          .set("found", true);
   return S.sendAll(server::encodeFrame("artifact", std::move(Body)));
+}
+
+/// A relay handler for a FakeWorker placed in front of the daemon on
+/// \p Port. Ranges go to whichever worker asks first, so a real daemon
+/// could drain every range before a scripted fake worker asks for one.
+/// The relay holds the daemon's first shard-submit until \p FakeRanges is
+/// nonzero (the fake has received a range), at most 30 s, and forwards
+/// everything else untouched.
+FakeWorker::Handler holdFirstSubmitUntil(uint16_t Port,
+                                         const std::atomic<int> &FakeRanges) {
+  auto Upstream = std::make_shared<std::optional<Socket>>();
+  auto Held = std::make_shared<bool>(false);
+  return [=, &FakeRanges](Socket &S, const Frame &F) {
+    if (!*Upstream)
+      *Upstream = Socket::connectTo("127.0.0.1", Port);
+    if (!*Upstream)
+      return false;
+    const bool Submit = F.Type == "shard-submit";
+    if (Submit && !*Held) {
+      *Held = true;
+      for (int Waited = 0; FakeRanges == 0 && Waited < 30000; ++Waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!(*Upstream)->sendAll(server::encodeFrame(F.Type, F.Body)))
+      return false;
+    // A shard-submit is answered by "accepted" and then its result (or an
+    // error); every other request by exactly one frame.
+    std::string Line;
+    for (;;) {
+      if ((*Upstream)->readLine(Line, server::MaxResponseFrameBytes) !=
+              Socket::ReadStatus::Line ||
+          !S.sendAll(Line + "\n"))
+        return false;
+      std::optional<Frame> Answer = server::decodeFrame(Line);
+      if (!Submit || !Answer || Answer->Type != "accepted")
+        return true;
+    }
+  };
 }
 
 } // namespace
@@ -489,19 +529,24 @@ TEST(FleetTest, DeadWorkerRangeIsRedispatchedToSurvivor) {
   ASSERT_TRUE(Survivor.Started);
   // Claims every artifact, accepts its first range, then drops the
   // connection with the range in flight — a worker killed mid-range.
-  FakeWorker Doomed([](Socket &S, const Frame &F) {
+  std::atomic<int> DoomedRanges{0};
+  FakeWorker Doomed([&DoomedRanges](Socket &S, const Frame &F) {
     if (F.Type == "shard-submit") {
+      ++DoomedRanges;
       S.sendAll(server::encodeFrame(
           "accepted", json::Value::object().set("id", 1)));
       return false; // hang up with the range in flight
     }
     return claimAllArtifacts(S, F);
   });
+  // The survivor waits behind a relay until the doomed worker holds a
+  // range, so the survivor cannot drain all three first.
+  FakeWorker Relay(holdFirstSubmitUntil(Survivor.D.port(), DoomedRanges));
 
   ShardOptions Options;
   Options.ShardCount = 3;
   Options.WorkDir = freshDir("fleet_dead_worker");
-  Options.Workers = {Survivor.hostPort(), Doomed.hostPort()};
+  Options.Workers = {Relay.hostPort(), Doomed.hostPort()};
   ShardCoordinator Coordinator(Options);
   std::string Error;
   ShardReport Report;
@@ -549,38 +594,8 @@ TEST(FleetTest, CorruptShardResultIsRejectedAndReRun) {
     return claimAllArtifacts(S, F);
   });
 
-  // Ranges go to whichever worker asks first, so the honest daemon could
-  // drain all three before the liar asks for one. A relay in front of it
-  // holds the honest worker's first shard-submit until the liar has
-  // received a range, and forwards everything else untouched.
-  std::optional<Socket> Upstream;
-  bool Held = false;
-  FakeWorker Relay([&](Socket &S, const Frame &F) {
-    if (!Upstream)
-      Upstream = Socket::connectTo("127.0.0.1", Honest.D.port());
-    if (!Upstream)
-      return false;
-    const bool Submit = F.Type == "shard-submit";
-    if (Submit && !Held) {
-      Held = true;
-      for (int Waited = 0; Lies == 0 && Waited < 30000; ++Waited)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (!Upstream->sendAll(server::encodeFrame(F.Type, F.Body)))
-      return false;
-    // A shard-submit is answered by "accepted" and then its result (or an
-    // error); every other request by exactly one frame.
-    std::string Line;
-    for (;;) {
-      if (Upstream->readLine(Line, server::MaxResponseFrameBytes) !=
-              Socket::ReadStatus::Line ||
-          !S.sendAll(Line + "\n"))
-        return false;
-      std::optional<Frame> Answer = server::decodeFrame(Line);
-      if (!Submit || !Answer || Answer->Type != "accepted")
-        return true;
-    }
-  });
+  // The honest daemon waits behind a relay until the liar holds a range.
+  FakeWorker Relay(holdFirstSubmitUntil(Honest.D.port(), Lies));
 
   ShardOptions Options;
   Options.ShardCount = 3;

@@ -888,6 +888,56 @@ TEST(TaskSpecParseTest, RejectsOutOfRangeAndGarbageIntegers) {
   EXPECT_EQ(Max->PerturbRounds, 4294967295u);
 }
 
+TEST(TaskSpecParseTest, RejectsGarbageDoubles) {
+  // A decimal flag must be one whole strtod token. strtod alone stops at
+  // the first bad character, so --noise-prob=abc used to run noiseless
+  // and --time=3x at t = 3.
+  std::string Error;
+  const char *Noise = "--noise=depolarizing";
+  const char *Columns = "--columns=2";
+  const std::pair<std::vector<const char *>, const char *> BadFlags[] = {
+      {{"--time=3x"}, "--time"},
+      {{"--time=abc"}, "--time"},
+      {{"--time=0.5 "}, "--time"},
+      {{"--epsilon=0.05,"}, "--epsilon"},
+      {{"--epsilon=1e-2e"}, "--epsilon"},
+      {{Noise, "--noise-prob=abc", Columns}, "--noise-prob"},
+      {{Noise, "--noise-prob=0.1%", Columns}, "--noise-prob"},
+      {{Noise, "--noise-2q-factor=2x", Columns}, "--noise-2q-factor"},
+      {{"--qd=1x"}, "--qd"},
+      {{"--gc=0.5.5"}, "--gc"},
+      {{"--rp=abc", "--gc=1"}, "--rp"},
+  };
+  for (const auto &[Flags, Name] : BadFlags) {
+    std::vector<const char *> Args = {"h.txt"};
+    Args.insert(Args.end(), Flags.begin(), Flags.end());
+    EXPECT_FALSE(parseArgs(Args, &Error)) << Name;
+    EXPECT_NE(Error.find(Name), std::string::npos) << Error;
+  }
+
+  // strtod's own syntax still parses: exponents, hex floats, a sign, a
+  // bare leading dot, and the in-range edges.
+  std::optional<TaskSpec> Edge =
+      parseArgs({"h.txt", "--time=0x1p-2", "--epsilon=.5", Noise,
+                 "--noise-prob=1", "--noise-2q-factor=+1e0", Columns});
+  ASSERT_TRUE(Edge);
+  EXPECT_EQ(Edge->Time, 0.25);
+  EXPECT_EQ(Edge->Epsilon, 0.5);
+  EXPECT_EQ(Edge->Noise.Prob, 1.0);
+  EXPECT_EQ(Edge->Noise.TwoQubitFactor, 1.0);
+  std::optional<TaskSpec> Zero = parseArgs(
+      {"h.txt", "--time=1e-3", Noise, "--noise-prob=0", Columns});
+  ASSERT_TRUE(Zero);
+  EXPECT_EQ(Zero->Time, 1e-3);
+  EXPECT_EQ(Zero->Noise.Prob, 0.0);
+  std::optional<TaskSpec> Mix =
+      parseArgs({"h.txt", "--qd=0", "--gc=3e0", "--rp=1.0"});
+  ASSERT_TRUE(Mix);
+  EXPECT_EQ(Mix->Mix.WQd, 0.0);
+  EXPECT_EQ(Mix->Mix.WGc, 0.75);
+  EXPECT_EQ(Mix->Mix.WRp, 0.25);
+}
+
 TEST(ServiceFidelityTest, Fp32PrecisionTracksFp64) {
   SimulationService Service;
   TaskSpec Spec = testSpec(testHamiltonian());

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "hamgen/Models.h"
+#include "hamgen/Registry.h"
 #include "linalg/Expm.h"
 #include "sim/Evolution.h"
 #include "sim/Fidelity.h"
@@ -464,4 +465,115 @@ TEST(FidelityEvaluatorTest, TrotterFidelityImprovesWithReps) {
     Prev = F;
   }
   EXPECT_GT(Prev, 0.99);
+}
+
+namespace {
+
+/// FNV-1a-64 over the little-endian bytes of every amplitude's (re, im)
+/// bits, states in order: one word that moves if any bit of any target
+/// does, signs of zeros included.
+uint64_t stateBitsHash(const std::vector<CVector> &States) {
+  uint64_t H = serial::FNVOffset;
+  for (const CVector &S : States)
+    for (const Complex &A : S) {
+      H = serial::fnv1aWord(serial::doubleBits(A.real()), H);
+      H = serial::fnv1aWord(serial::doubleBits(A.imag()), H);
+    }
+  return H;
+}
+
+} // namespace
+
+TEST(TargetBitsTest, PanelEvolutionKeepsThePerColumnBits) {
+  // Captured from the one-column-at-a-time evolution that preceded the
+  // panel body (each column evolved alone through applyToBasis), so
+  // these pin that evolving columns together moves no bit. C = 1, 5, 8
+  // and 13 give a single column, a partial block, a full block and a
+  // full block plus a partial one. OH- at T = 1 is pinned at C = 1 only:
+  // its wider cases take seconds each.
+  struct Case {
+    const char *Model;
+    double T;
+    size_t C;
+    const char *Hash;
+  };
+  const Case Cases[] = {
+      {"OH-", 0.125, 1, "57959ec9dede48df"},
+      {"OH-", 0.125, 5, "72b9b672d259ce19"},
+      {"OH-", 0.125, 8, "fc3294c1bf211f2b"},
+      {"OH-", 0.125, 13, "8f7945cbedd45a0e"},
+      {"OH-", 1.0, 1, "09d6c2a320829bc5"},
+      {"SYK-1", 0.125, 1, "f691a1ab6e49a0bd"},
+      {"SYK-1", 0.125, 5, "eadd5bca90b87b6b"},
+      {"SYK-1", 0.125, 8, "62017c40ba9870a6"},
+      {"SYK-1", 0.125, 13, "8d274e56b8f53938"},
+      {"SYK-1", 1.0, 1, "93db478e7674288f"},
+      {"SYK-1", 1.0, 5, "eba9c341f8c8d359"},
+      {"SYK-1", 1.0, 8, "0cff71784ed5177e"},
+      {"SYK-1", 1.0, 13, "a926caca16a9cb7d"},
+      {"Na+", 0.125, 1, "6c149a91d57fe64b"},
+      {"Na+", 0.125, 5, "9d6b77e92fb29dc5"},
+      {"Na+", 0.125, 8, "a746a85a3bfd5c56"},
+      {"Na+", 0.125, 13, "d791c0952fcc7989"},
+      {"Na+", 1.0, 1, "c49c1e340165f628"},
+      {"Na+", 1.0, 5, "ce505265a385b01d"},
+      {"Na+", 1.0, 8, "fd8e09f0262c7049"},
+      {"Na+", 1.0, 13, "0cb73be4b211c313"},
+  };
+  for (const Case &K : Cases) {
+    const Hamiltonian H = makeBenchmark(*findBenchmark(K.Model));
+    FidelityEvaluator Eval(H, K.T, K.C, 0x5eed);
+    EXPECT_EQ(serial::hex16(stateBitsHash(Eval.targets())), K.Hash)
+        << K.Model << " T=" << K.T << " C=" << K.C;
+  }
+  // The eval-warm shape: 8 columns at T = 0.125.
+  for (auto [Model, Hash] : {std::pair{"OH-", "53c8473c6c978c66"},
+                             std::pair{"SYK-2", "d556f8cf2ef8384f"},
+                             std::pair{"Na+", "02baf54e7ef0852a"}}) {
+    FidelityEvaluator Eval(makeBenchmark(*findBenchmark(Model)), 0.125, 8,
+                           0x1234567);
+    EXPECT_EQ(serial::hex16(stateBitsHash(Eval.targets())), Hash) << Model;
+  }
+
+  // Every column of a 6-qubit TFIM: exact mode, 8 full blocks.
+  const Hamiltonian TF = makeTransverseFieldIsing(6, 1.0, 0.7);
+  FidelityEvaluator Exact(TF, 0.8, 64, 3);
+  ASSERT_TRUE(Exact.isExact());
+  EXPECT_EQ(serial::hex16(stateBitsHash(Exact.targets())),
+            "e172df9f82914d55");
+
+  // A random, unnormalized non-basis state through the width-1 wrappers.
+  RNG Rng(91);
+  CVector In(size_t(1) << 6);
+  for (Complex &A : In)
+    A = Complex(Rng.gaussian(), Rng.gaussian());
+  EXPECT_EQ(serial::hex16(stateBitsHash({evolveExact(TF, 1.3, In)})),
+            "70b47f39f8df836e");
+  EXPECT_EQ(serial::hex16(stateBitsHash({applyHamiltonian(TF, In)})),
+            "ed8eb06764c47edd");
+}
+
+TEST(TargetBitsTest, TargetsIdenticalForEveryJobs) {
+  // 64 columns are 8 blocks and 20 are 3 (the last one partial): enough
+  // for every Jobs value to hand the blocks out differently.
+  const Hamiltonian TF = makeTransverseFieldIsing(6, 1.0, 0.7);
+  const Hamiltonian Na = makeBenchmark(*findBenchmark("Na+"));
+  for (auto [H, C] : {std::pair{&TF, size_t(64)}, std::pair{&Na, size_t(20)}}) {
+    const uint64_t Reference =
+        stateBitsHash(FidelityEvaluator(*H, 0.5, C, 9, 1).targets());
+    for (unsigned Jobs : {2u, 4u, 0u}) {
+      FidelityEvaluator Eval(*H, 0.5, C, 9, Jobs);
+      EXPECT_EQ(stateBitsHash(Eval.targets()), Reference)
+          << C << " columns, jobs " << Jobs;
+    }
+    // Each target is also the column evolved alone.
+    FidelityEvaluator Eval(*H, 0.5, C, 9, 4);
+    for (size_t I = 0; I < C; I += 7) {
+      CVector Basis(Eval.targets()[I].size(), Complex(0.0, 0.0));
+      Basis[Eval.columns()[I]] = 1.0;
+      EXPECT_EQ(stateBitsHash({evolveExact(*H, 0.5, Basis)}),
+                stateBitsHash({Eval.targets()[I]}))
+          << C << " columns, column " << I;
+    }
+  }
 }
