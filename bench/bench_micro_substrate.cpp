@@ -87,21 +87,16 @@ static void BM_MinCostFlowBipartite(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     RNG Rng(7);
-    MinCostFlow Net(2 * N + 2);
     int64_t Scale = 1'000'000;
     std::vector<int64_t> Units(N, Scale / static_cast<int64_t>(N));
     Units[0] += Scale % static_cast<int64_t>(N);
-    for (size_t I = 0; I < N; ++I)
-      Net.addEdge(0, 1 + I, Units[I], 0);
+    MinCostFlow Net(Units);
     for (size_t I = 0; I < N; ++I)
       for (size_t J = 0; J < N; ++J)
         if (I != J)
-          Net.addEdge(1 + I, 1 + N + J, MinCostFlow::kInfiniteCapacity,
-                      static_cast<int64_t>(Rng.uniformInt(30)));
-    for (size_t J = 0; J < N; ++J)
-      Net.addEdge(1 + N + J, 2 * N + 1, Units[J], 0);
+          Net.cost(I, J) = static_cast<int64_t>(Rng.uniformInt(30));
     State.ResumeTiming();
-    auto R = Net.solve(0, 2 * N + 1, Scale);
+    auto R = Net.solve();
     benchmark::DoNotOptimize(R.TotalCost);
   }
 }

@@ -44,13 +44,14 @@ static std::vector<int64_t> quantize(const std::vector<double> &Pi,
   return Units;
 }
 
-/// Shared MCFP skeleton of Algorithm 2: builds the bipartite Prev -> Next
-/// network with stationary capacities, costs from \p CostFn (diagonal edges
-/// omitted), solves it, and extracts the transition matrix
+/// Shared MCFP skeleton of Algorithm 2: the transport network with
+/// stationary supplies and demands and costs from \p CostFn (diagonal
+/// omitted), solved, and turned into the transition matrix
 /// p_ij = f_ij / pi_i.
-static TransitionMatrix
-solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
-                const std::function<int64_t(size_t, size_t)> &CostFn) {
+template <typename CostFnT>
+static TransitionMatrix solveFlowMatrix(const Hamiltonian &H,
+                                        const MCFPOptions &Opts,
+                                        CostFnT &&CostFn) {
   const size_t N = H.numTerms();
   assert(N >= 2 && "the flow model needs at least two terms");
   std::vector<double> Pi = H.stationaryDistribution();
@@ -59,34 +60,13 @@ solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
            "pi_i > 0.5: split the Hamiltonian first (Theorem 5.1)");
   std::vector<int64_t> Units = quantize(Pi, Opts.ProbScale);
 
-  // Node layout: 0 = S, 1..N = Prev, N+1..2N = Next, 2N+1 = T. Every node
-  // has exactly N incident arcs. Edge ids run: the N source edges, then the
-  // N(N-1) middle edges row-major with the diagonal skipped, then the N
-  // sink edges — so a middle edge's id is computed, not stored.
-  const size_t S = 0, T = 2 * N + 1;
-  auto PrevNode = [](size_t I) { return 1 + I; };
-  auto NextNode = [N](size_t J) { return 1 + N + J; };
-  auto MiddleEdge = [N](size_t I, size_t J) {
-    return N + I * (N - 1) + J - (J > I ? 1 : 0);
-  };
-
-  MinCostFlow Net(2 * N + 2);
-  Net.reserve(N * (N + 1), N);
+  MinCostFlow Net(Units);
   for (size_t I = 0; I < N; ++I)
-    Net.addEdge(S, PrevNode(I), Units[I], 0);
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = 0; J < N; ++J) {
-      if (I == J)
-        continue; // excluded to rule out the trivial identity matrix
-      [[maybe_unused]] size_t Id =
-          Net.addEdge(PrevNode(I), NextNode(J),
-                      MinCostFlow::kInfiniteCapacity, CostFn(I, J));
-      assert(Id == MiddleEdge(I, J) && "middle edge id layout drifted");
-    }
-  for (size_t J = 0; J < N; ++J)
-    Net.addEdge(NextNode(J), T, Units[J], 0);
+    for (size_t J = 0; J < N; ++J)
+      if (I != J) // excluded to rule out the trivial identity matrix
+        Net.cost(I, J) = CostFn(I, J);
 
-  MinCostFlow::Result Result = Net.solve(S, T, Opts.ProbScale);
+  MinCostFlow::Result Result = Net.solve();
   assert(Result.Feasible && "MCFP infeasible: stationary capacities violate "
                             "the pi_i <= 0.5 precondition");
   (void)Result;
@@ -103,7 +83,7 @@ solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
     for (size_t J = 0; J < N; ++J) {
       if (I == J)
         continue;
-      P.at(I, J) = static_cast<double>(Net.flowOnEdge(MiddleEdge(I, J))) /
+      P.at(I, J) = static_cast<double>(Net.flow(I, J)) /
                    static_cast<double>(Units[I]);
     }
   }

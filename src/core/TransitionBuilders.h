@@ -56,10 +56,12 @@ TransitionMatrix buildGateCancellation(const Hamiltonian &H,
                                        const MCFPOptions &Opts = {});
 
 /// The generic Algorithm 2 skeleton behind every MCFP builder: the
-/// bipartite stationary-capacity flow network with an arbitrary
-/// non-negative cost table (diagonal entries ignored — those edges are
-/// excluded). Exposed so new objectives (e.g. hardware-aware costs) can
-/// plug in without reimplementing the flow encoding.
+/// bipartite stationary-capacity flow network with an arbitrary cost table
+/// (diagonal entries ignored — those edges are excluded). Exposed so new
+/// objectives (e.g. hardware-aware costs) can plug in without
+/// reimplementing the flow encoding. Every off-diagonal cost must be
+/// >= 0 (the flow solver starts from zero potentials); a negative one
+/// throws std::invalid_argument naming its cell.
 TransitionMatrix
 buildFromCostTable(const Hamiltonian &H,
                    const std::vector<std::vector<int64_t>> &Cost,

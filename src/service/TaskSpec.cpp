@@ -366,6 +366,20 @@ marqsim::parseChannelMix(const CommandLine &CL, std::string *Error) {
   return Mix;
 }
 
+std::optional<size_t> marqsim::parseCacheLimitBytes(const CommandLine &CL,
+                                                    std::string *Error) {
+  std::optional<double> MB = wholeDouble(CL.getString("cache-limit-mb"), 0.0);
+  if (!MB || !(*MB >= 0.0) || !std::isfinite(*MB))
+    return failed(Error, "--cache-limit-mb must be a non-negative finite "
+                         "number of MiB");
+  if (*MB == 0.0)
+    return size_t(0);
+  // Clamp so a huge budget cannot overflow the size_t cast.
+  constexpr double MaxBytes = 9.0e18;
+  return static_cast<size_t>(
+      std::min(std::max(std::ceil(*MB * 1024.0 * 1024.0), 1.0), MaxBytes));
+}
+
 //===----------------------------------------------------------------------===//
 // TaskSpec
 //===----------------------------------------------------------------------===//

@@ -76,6 +76,15 @@ struct ChannelMix {
 std::optional<ChannelMix> parseChannelMix(const CommandLine &CL,
                                           std::string *Error = nullptr);
 
+/// Reads --cache-limit-mb (MiB; the tools' in-memory artifact budget) as
+/// a byte count for ServiceOptions::CacheLimitBytes. Absent or 0 means
+/// unbounded (0); a positive budget rounds up to whole bytes, at least 1,
+/// so a sub-byte fraction is the tightest cap rather than no cap. The
+/// value must be one whole, finite, non-negative number: "abc", "nan" and
+/// "0.5x" give std::nullopt and an \p Error naming the flag.
+std::optional<size_t> parseCacheLimitBytes(const CommandLine &CL,
+                                           std::string *Error = nullptr);
+
 /// Where a task's Hamiltonian comes from.
 struct HamiltonianSource {
   enum class Kind { File, Model, Inline };

@@ -15,6 +15,7 @@
 #include "core/CNOTCountOracle.h"
 #include "core/Compiler.h"
 #include "core/Emitter.h"
+#include "core/HardwareCost.h"
 #include "core/HTTGraph.h"
 #include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
@@ -308,6 +309,51 @@ TEST(RandomPerturbationJobsTest, RegistryGoldenIsFrozen) {
     EXPECT_EQ(matrixBitsHash(Prp), 0xa615349dde3b7a38ULL) << "jobs " << Jobs;
     EXPECT_EQ(Rng.next(), 0x84f51100a67c4320ULL) << "jobs " << Jobs;
   }
+}
+
+TEST(TransitionBuildersTest, FlowMatrixBitsAreFrozen) {
+  // Captured with the generic adjacency-list flow solver, before the solve
+  // moved to the dense transport network. Every MCFP builder must keep
+  // these bits: the matrix codec and the cache keys did not change, so a
+  // moved bit would silently mix old and new matrices in a store. Prp is 8
+  // rounds at the service's default perturbation seed; a zero "next draw"
+  // is not pinned.
+  struct Golden {
+    const char *Model;
+    uint64_t Pgc, Prp, NextDraw, Pcg;
+  };
+  for (const Golden &G :
+       {Golden{"OH-", 0xd267dbcadb844bfdULL, 0xb253dc74853e7e56ULL,
+               0x4f9f1289b6051191ULL, 0x4a6cdba600ea71a6ULL},
+        Golden{"HF", 0x821f94dd8aba72f9ULL, 0x91dfbc3a3a7ea06cULL, 0,
+               0x2eeee62713264e83ULL},
+        Golden{"SYK-2", 0x181653ee4133b033ULL, 0xfebed5c78da0e07eULL,
+               0x49b6465d1c609ae9ULL, 0xfac48d30a3d9e541ULL}}) {
+    Hamiltonian H =
+        makeBenchmark(*findBenchmark(G.Model)).merged().splitLargeTerms();
+    EXPECT_EQ(matrixBitsHash(buildGateCancellation(H)), G.Pgc) << G.Model;
+    RNG Rng(0x5EED);
+    EXPECT_EQ(matrixBitsHash(buildRandomPerturbation(H, 8, Rng)), G.Prp)
+        << G.Model;
+    if (G.NextDraw != 0) {
+      EXPECT_EQ(Rng.next(), G.NextDraw) << G.Model;
+    }
+    EXPECT_EQ(matrixBitsHash(buildCommutationGrouping(H)), G.Pcg) << G.Model;
+    if (std::string(G.Model) == "OH-") {
+      EXPECT_EQ(matrixBitsHash(
+                    buildHardwareAwareGC(H, DeviceTopology::line(10))),
+                0x20d344947ea98e01ULL);
+    }
+  }
+
+  // bench_table2_compile_time's 20-qubit, 500-string instance.
+  RNG Gen(0xBEEF + 20500);
+  Hamiltonian H =
+      makeRandomHamiltonian(20, 500, Gen).rescaledToLambda(20).splitLargeTerms();
+  EXPECT_EQ(matrixBitsHash(buildGateCancellation(H)), 0xdf9185915a711bd7ULL);
+  RNG Rng(0x5EED);
+  EXPECT_EQ(matrixBitsHash(buildRandomPerturbation(H, 2, Rng)),
+            0xdee8cbe12a01535eULL);
 }
 
 TEST(TransitionBuildersTest, CommutationGroupingValid) {

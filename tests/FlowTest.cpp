@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceMinCostFlow.h"
 #include "flow/MinCostFlow.h"
 #include "support/RNG.h"
 
@@ -11,13 +12,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 using namespace marqsim;
 
 TEST(MinCostFlowTest, PicksCheaperOfTwoPaths) {
   // S -(cap 10, cost 1)-> A -> T and S -(cap 10, cost 5)-> B -> T.
-  MinCostFlow Net(4);
+  ReferenceMinCostFlow Net(4);
   size_t SA = Net.addEdge(0, 1, 10, 1);
   size_t AT = Net.addEdge(1, 3, 10, 0);
   size_t SB = Net.addEdge(0, 2, 10, 5);
@@ -32,7 +35,7 @@ TEST(MinCostFlowTest, PicksCheaperOfTwoPaths) {
 }
 
 TEST(MinCostFlowTest, SpillsToExpensivePathWhenSaturated) {
-  MinCostFlow Net(4);
+  ReferenceMinCostFlow Net(4);
   size_t SA = Net.addEdge(0, 1, 6, 1);
   Net.addEdge(1, 3, 6, 0);
   size_t SB = Net.addEdge(0, 2, 10, 5);
@@ -45,7 +48,7 @@ TEST(MinCostFlowTest, SpillsToExpensivePathWhenSaturated) {
 }
 
 TEST(MinCostFlowTest, InfeasibleWhenCutTooSmall) {
-  MinCostFlow Net(3);
+  ReferenceMinCostFlow Net(3);
   Net.addEdge(0, 1, 3, 1);
   Net.addEdge(1, 2, 3, 1);
   auto R = Net.solve(0, 2, 5);
@@ -54,7 +57,7 @@ TEST(MinCostFlowTest, InfeasibleWhenCutTooSmall) {
 }
 
 TEST(MinCostFlowTest, ZeroAmountIsTriviallyFeasible) {
-  MinCostFlow Net(2);
+  ReferenceMinCostFlow Net(2);
   Net.addEdge(0, 1, 1, 1);
   auto R = Net.solve(0, 1, 0);
   EXPECT_TRUE(R.Feasible);
@@ -69,7 +72,7 @@ TEST(MinCostFlowTest, ReroutesThroughResidualEdges) {
   //      B -> T (cap 2, cost 1)
   // Best flow of 2: S->A->B->T (cost 3) + S->B->T (cost 5) = 8,
   // rather than S->A->T (7) + S->B->T (5) = 12.
-  MinCostFlow Net(4);
+  ReferenceMinCostFlow Net(4);
   Net.addEdge(0, 1, 1, 1);
   Net.addEdge(0, 2, 1, 4);
   Net.addEdge(1, 2, 1, 1);
@@ -83,7 +86,7 @@ TEST(MinCostFlowTest, ReroutesThroughResidualEdges) {
 
 TEST(MinCostFlowTest, HandlesNegativeCosts) {
   // A negative-cost edge makes the Bellman-Ford initialization necessary.
-  MinCostFlow Net(4);
+  ReferenceMinCostFlow Net(4);
   Net.addEdge(0, 1, 5, 2);
   Net.addEdge(1, 2, 5, -3);
   Net.addEdge(2, 3, 5, 2);
@@ -94,7 +97,7 @@ TEST(MinCostFlowTest, HandlesNegativeCosts) {
 }
 
 TEST(MinCostFlowTest, ParallelEdgesSupported) {
-  MinCostFlow Net(2);
+  ReferenceMinCostFlow Net(2);
   size_t E1 = Net.addEdge(0, 1, 3, 2);
   size_t E2 = Net.addEdge(0, 1, 3, 1);
   auto R = Net.solve(0, 1, 4);
@@ -173,12 +176,12 @@ TEST(MinCostFlowTest, MatchesBruteForceOnRandomTransportInstances) {
       for (size_t J = 0; J < N; ++J)
         Cost[I][J] = static_cast<int64_t>(Rng.uniformInt(9));
 
-    MinCostFlow Net(2 * N + 2);
+    ReferenceMinCostFlow Net(2 * N + 2);
     for (size_t I = 0; I < N; ++I)
       Net.addEdge(0, 1 + I, Supply[I], 0);
     for (size_t I = 0; I < N; ++I)
       for (size_t J = 0; J < N; ++J)
-        Net.addEdge(1 + I, 1 + N + J, MinCostFlow::kInfiniteCapacity,
+        Net.addEdge(1 + I, 1 + N + J, ReferenceMinCostFlow::kInfiniteCapacity,
                     Cost[I][J]);
     for (size_t J = 0; J < N; ++J)
       Net.addEdge(1 + N + J, 2 * N + 1, Demand[J], 0);
@@ -217,12 +220,12 @@ TEST_P(TransportOptimalitySweep, MatchesBruteForce) {
       C = static_cast<int64_t>(Rng.uniformInt(12));
 
   const size_t Src = 0, Snk = Case.Rows + Case.Cols + 1;
-  MinCostFlow Net(Case.Rows + Case.Cols + 2);
+  ReferenceMinCostFlow Net(Case.Rows + Case.Cols + 2);
   for (size_t I = 0; I < Case.Rows; ++I)
     Net.addEdge(Src, 1 + I, Supply[I], 0);
   for (size_t I = 0; I < Case.Rows; ++I)
     for (size_t J = 0; J < Case.Cols; ++J)
-      Net.addEdge(1 + I, 1 + Case.Rows + J, MinCostFlow::kInfiniteCapacity,
+      Net.addEdge(1 + I, 1 + Case.Rows + J, ReferenceMinCostFlow::kInfiniteCapacity,
                   Cost[I][J]);
   for (size_t J = 0; J < Case.Cols; ++J)
     Net.addEdge(1 + Case.Rows + J, Snk, Demand[J], 0);
@@ -249,14 +252,14 @@ TEST(MinCostFlowTest, LargeBipartiteInstanceRunsQuickly) {
   const int64_t Scale = 1'000'000;
   std::vector<int64_t> Units(N, Scale / static_cast<int64_t>(N));
   Units[0] += Scale % static_cast<int64_t>(N);
-  MinCostFlow Net(2 * N + 2);
+  ReferenceMinCostFlow Net(2 * N + 2);
   for (size_t I = 0; I < N; ++I)
     Net.addEdge(0, 1 + I, Units[I], 0);
   for (size_t I = 0; I < N; ++I)
     for (size_t J = 0; J < N; ++J) {
       if (I == J)
         continue;
-      Net.addEdge(1 + I, 1 + N + J, MinCostFlow::kInfiniteCapacity,
+      Net.addEdge(1 + I, 1 + N + J, ReferenceMinCostFlow::kInfiniteCapacity,
                   static_cast<int64_t>(Rng.uniformInt(40)));
     }
   for (size_t J = 0; J < N; ++J)
@@ -264,4 +267,163 @@ TEST(MinCostFlowTest, LargeBipartiteInstanceRunsQuickly) {
   auto R = Net.solve(0, 2 * N + 1, Scale);
   EXPECT_TRUE(R.Feasible);
   EXPECT_GE(R.TotalCost, 0);
+}
+
+//===----------------------------------------------------------------------===//
+// The dense transport solver (flow/MinCostFlow) against the reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One instance of the network the library builds: N rows and N columns,
+/// supply = demand = Units, costs N x N row-major (diagonal unused).
+struct TransportInstance {
+  std::vector<int64_t> Units;
+  std::vector<int64_t> Cost;
+};
+
+/// Solves \p Inst on the reference graph built as the library used to
+/// build it (S, rows, columns, T; edges S->rows, rows->columns row-major
+/// with the diagonal skipped, columns->T). Returns the per-cell flows.
+std::vector<int64_t> solveWithReference(const TransportInstance &Inst,
+                                        ReferenceMinCostFlow::Result &R) {
+  const size_t N = Inst.Units.size();
+  int64_t Total = 0;
+  for (int64_t U : Inst.Units)
+    Total += U;
+  ReferenceMinCostFlow Net(2 * N + 2);
+  Net.reserve(N * (N + 1), N);
+  for (size_t I = 0; I < N; ++I)
+    Net.addEdge(0, 1 + I, Inst.Units[I], 0);
+  std::vector<size_t> Ids(N * N, 0);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      if (I != J)
+        Ids[I * N + J] =
+            Net.addEdge(1 + I, 1 + N + J,
+                        ReferenceMinCostFlow::kInfiniteCapacity,
+                        Inst.Cost[I * N + J]);
+  for (size_t J = 0; J < N; ++J)
+    Net.addEdge(1 + N + J, 2 * N + 1, Inst.Units[J], 0);
+  R = Net.solve(0, 2 * N + 1, Total);
+  std::vector<int64_t> Flows(N * N, 0);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      if (I != J)
+        Flows[I * N + J] = Net.flowOnEdge(Ids[I * N + J]);
+  return Flows;
+}
+
+MinCostFlow denseNetwork(const TransportInstance &Inst) {
+  const size_t N = Inst.Units.size();
+  MinCostFlow Net(Inst.Units);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      if (I != J)
+        Net.cost(I, J) = Inst.Cost[I * N + J];
+  return Net;
+}
+
+/// A random instance: N in [2, 41], costs drawn from a small or a wide
+/// range (small ranges make many equal-cost paths), some zero units, and a
+/// total that is small or up to 1e9. About one in eight has a row holding
+/// more than half the total, which is infeasible without the diagonal.
+TransportInstance randomInstance(RNG &Rng) {
+  TransportInstance Inst;
+  const size_t N = 2 + static_cast<size_t>(Rng.uniformInt(40));
+  static const uint64_t CostRanges[] = {1, 2, 3, 5, 61};
+  const uint64_t CostRange = CostRanges[Rng.uniformInt(5)];
+  Inst.Cost.resize(N * N);
+  for (int64_t &C : Inst.Cost)
+    C = static_cast<int64_t>(Rng.uniformInt(CostRange));
+
+  const bool Large = Rng.bernoulli(0.5);
+  const uint64_t MaxUnit = Large ? 1'000'000'000 / N : 8;
+  Inst.Units.resize(N);
+  for (int64_t &U : Inst.Units)
+    U = Rng.bernoulli(0.2) ? 0
+                           : static_cast<int64_t>(Rng.uniformInt(MaxUnit + 1));
+  if (Rng.bernoulli(0.125)) {
+    int64_t Rest = 0;
+    for (size_t I = 1; I < N; ++I)
+      Rest += Inst.Units[I];
+    Inst.Units[0] = Rest + 1 + static_cast<int64_t>(Rng.uniformInt(3));
+  }
+  return Inst;
+}
+
+} // namespace
+
+TEST(DenseMinCostFlowTest, MatchesReferenceCellByCell) {
+  // Every augmenting path of the dense solver is the reference's, so the
+  // per-cell flows, not only the optimal cost, must agree exactly.
+  RNG Rng(0xF10D);
+  size_t Infeasible = 0;
+  for (int Trial = 0; Trial < 10000; ++Trial) {
+    TransportInstance Inst = randomInstance(Rng);
+    const size_t N = Inst.Units.size();
+    ReferenceMinCostFlow::Result Ref;
+    std::vector<int64_t> RefFlows = solveWithReference(Inst, Ref);
+    MinCostFlow Net = denseNetwork(Inst);
+    MinCostFlow::Result R = Net.solve();
+    ASSERT_EQ(R.Feasible, Ref.Feasible) << "trial " << Trial;
+    ASSERT_EQ(R.FlowSent, Ref.FlowSent) << "trial " << Trial;
+    ASSERT_EQ(R.TotalCost, Ref.TotalCost) << "trial " << Trial;
+    Infeasible += !R.Feasible;
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = 0; J < N; ++J)
+        ASSERT_EQ(Net.flow(I, J), RefFlows[I * N + J])
+            << "trial " << Trial << " N " << N << " cell (" << I << ", "
+            << J << ")";
+  }
+  // Both branches of the comparison ran.
+  EXPECT_GT(Infeasible, 100u);
+  EXPECT_LT(Infeasible, 5000u);
+}
+
+TEST(DenseMinCostFlowTest, MatchesBruteForceWithoutDiagonal) {
+  // The library's own shape: square, supply = demand, diagonal excluded.
+  // The brute force prices the diagonal out of reach instead.
+  constexpr int64_t Forbidden = 1'000'000;
+  RNG Rng(63);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    const size_t N = 2 + static_cast<size_t>(Rng.uniformInt(3));
+    TransportInstance Inst;
+    Inst.Units.resize(N);
+    for (int64_t &U : Inst.Units)
+      U = static_cast<int64_t>(Rng.uniformInt(3));
+    std::vector<std::vector<int64_t>> Cost(N, std::vector<int64_t>(N));
+    Inst.Cost.resize(N * N);
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = 0; J < N; ++J) {
+        Inst.Cost[I * N + J] = static_cast<int64_t>(Rng.uniformInt(9));
+        Cost[I][J] = I == J ? Forbidden : Inst.Cost[I * N + J];
+      }
+    MinCostFlow Net = denseNetwork(Inst);
+    MinCostFlow::Result R = Net.solve();
+    const int64_t Brute = bruteForceTransport(Inst.Units, Inst.Units, Cost);
+    EXPECT_EQ(R.Feasible, Brute < Forbidden) << "trial " << Trial;
+    if (R.Feasible) {
+      EXPECT_EQ(R.TotalCost, Brute) << "trial " << Trial;
+    }
+    for (size_t I = 0; I < N; ++I)
+      EXPECT_EQ(Net.flow(I, I), 0) << "trial " << Trial;
+  }
+}
+
+TEST(DenseMinCostFlowTest, RejectsNegativeCostNamingTheCell) {
+  MinCostFlow Net({2, 2, 2});
+  Net.cost(0, 1) = 1;
+  Net.cost(1, 2) = -3;
+  Net.cost(2, 2) = -7; // the diagonal has no arc and is not checked
+  try {
+    Net.solve();
+    FAIL() << "a negative cost was accepted";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("-3 at cell (1, 2)"),
+              std::string::npos)
+        << E.what();
+  }
+  MinCostFlow Units({1, -1});
+  EXPECT_THROW(Units.solve(), std::invalid_argument);
 }

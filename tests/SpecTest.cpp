@@ -397,6 +397,31 @@ void checkFrame(const std::string &Text, FuzzOutcome &Outcome) {
 
 } // namespace
 
+TEST(CacheLimitFlagTest, TakesOneWholeFiniteNumber) {
+  auto Parse = [](std::vector<const char *> Args, std::string *Error) {
+    Args.insert(Args.begin(), "prog");
+    CommandLine CL(static_cast<int>(Args.size()), Args.data());
+    return parseCacheLimitBytes(CL, Error);
+  };
+  std::string Error;
+  EXPECT_EQ(Parse({}, &Error), size_t(0));
+  EXPECT_EQ(Parse({"--cache-limit-mb=0"}, &Error), size_t(0));
+  EXPECT_EQ(Parse({"--cache-limit-mb=2"}, &Error), size_t(2) << 20);
+  EXPECT_EQ(Parse({"--cache-limit-mb", "0.5"}, &Error), size_t(1) << 19);
+  // A sub-byte budget is the tightest cap, never "unbounded".
+  EXPECT_EQ(Parse({"--cache-limit-mb=0.000001"}, &Error), size_t(2));
+  EXPECT_EQ(Parse({"--cache-limit-mb=1e-12"}, &Error), size_t(1));
+  EXPECT_EQ(Parse({"--cache-limit-mb=1e300"}, &Error), size_t(9.0e18));
+  for (const char *Bad :
+       {"--cache-limit-mb=abc", "--cache-limit-mb=nan", "--cache-limit-mb=inf",
+        "--cache-limit-mb=-1", "--cache-limit-mb=0.000001x",
+        "--cache-limit-mb=2 ", "--cache-limit-mb=0x"}) {
+    Error.clear();
+    EXPECT_FALSE(Parse({Bad}, &Error)) << Bad;
+    EXPECT_NE(Error.find("--cache-limit-mb"), std::string::npos) << Bad;
+  }
+}
+
 TEST(TaskSpecFuzzTest, MutatedFramesFailCleanlyOrKeepTheirKey) {
   std::vector<json::Value> Seeds;
   std::vector<std::string> Texts;

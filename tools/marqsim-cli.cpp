@@ -133,7 +133,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -354,20 +353,12 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << Error << "\n";
     return 1;
   }
-  double LimitMB = CL.getDouble("cache-limit-mb", 0.0);
-  if (LimitMB < 0.0) {
-    std::cerr << "error: --cache-limit-mb must be non-negative\n";
+  std::optional<size_t> LimitBytes = parseCacheLimitBytes(CL, &Error);
+  if (!LimitBytes) {
+    std::cerr << "error: " << Error << "\n";
     return 1;
   }
-  if (LimitMB > 0.0) {
-    // A positive budget must never truncate to 0 (0 means unbounded —
-    // the opposite of the tightest cap a sub-byte fraction asks for),
-    // and a huge one must not overflow the size_t cast.
-    constexpr double MaxBytes = 9.0e18;
-    Options.CacheLimitBytes = static_cast<size_t>(
-        std::min(std::max(std::ceil(LimitMB * 1024.0 * 1024.0), 1.0),
-                 MaxBytes));
-  }
+  Options.CacheLimitBytes = *LimitBytes;
 
   bool CoordinatorMode = CL.has("shards") || CL.has("workers");
   if (CL.getBool("stats-json") && !CL.has("out")) {
