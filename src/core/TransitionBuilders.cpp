@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 using namespace marqsim;
 
@@ -20,10 +22,21 @@ TransitionMatrix marqsim::buildQDrift(const Hamiltonian &H) {
   return TransitionMatrix::fromStationary(H.stationaryDistribution());
 }
 
-/// Quantizes \p Pi to integers summing exactly to \p Scale using the
-/// largest-remainder method.
-static std::vector<int64_t> quantize(const std::vector<double> &Pi,
-                                     int64_t Scale) {
+// Exactness of the largest-remainder step. Let S = Scale <= 2^40 (exact
+// as a double) and e_i = fl(pi_i * S) = pi_i * S * (1 + d_i), |d_i| <=
+// 2^-53; floor(e_i) and r_i = e_i - floor(e_i) are exact. Then
+//   Missing = S - sum floor(e_i)
+//           = S (1 - sum pi) - S sum pi_i d_i + sum r_i,  r_i in [0, 1),
+// and |S sum pi_i d_i| <= 2^40 * 2^-53 * sum pi < 2^-12. So whenever
+// |1 - sum pi| * S < 1 - 2^-12, the integer Missing lies in (-1, N + 1):
+// 0 <= Missing <= N, and the loop reads only Remainders[0, N). For a
+// stationary distribution pi_i = |h_i| / lambda, |1 - sum pi| is at most
+// about N * 2^-53 (the rounding of lambda's sum and of each quotient), so
+// at S = 2^40 the condition holds for any N below 8000 terms; the largest
+// registry model has 661. Near S = 2^53 the product errors alone reach a
+// unit and Missing outgrows N.
+std::vector<int64_t> marqsim::quantizeStationary(const std::vector<double> &Pi,
+                                                 int64_t Scale) {
   const size_t N = Pi.size();
   std::vector<int64_t> Units(N);
   std::vector<std::pair<double, size_t>> Remainders(N);
@@ -35,13 +48,40 @@ static std::vector<int64_t> quantize(const std::vector<double> &Pi,
     Total += Units[I];
   }
   int64_t Missing = Scale - Total;
-  assert(Missing >= 0 && Missing <= static_cast<int64_t>(N) &&
-         "quantization drift");
+  if (Missing < 0 || Missing > static_cast<int64_t>(N))
+    throw std::invalid_argument(
+        "quantizeStationary: prob scale " + std::to_string(Scale) +
+        " leaves " + std::to_string(Missing) + " units to hand out over " +
+        std::to_string(N) + " terms; the largest-remainder step needs 0 to " +
+        std::to_string(N) + " (prob scale at most " +
+        std::to_string(MCFPOptions::MaxProbScale) + ")");
   std::sort(Remainders.begin(), Remainders.end(),
             std::greater<std::pair<double, size_t>>());
   for (int64_t K = 0; K < Missing; ++K)
     ++Units[Remainders[static_cast<size_t>(K)].second];
   return Units;
+}
+
+// Cost scale bound. The CNOT oracle charges at most 126 per cell (two
+// ladders of at most 63 CNOTs on 64 qubits) and a perturbation round adds
+// CostScale once more, so a cell costs below CostScale * 2^7. Two sums of
+// cells must fit:
+//   - a simple path of the residual network visits each of its 2N + 2
+//     nodes at most once, so every path cost (each Dijkstra distance and
+//     Johnson potential) is below (2N + 1) * CostScale * 2^7. The network
+//     holds two N x N int64 matrices, so 2^20 terms would take 16 TiB and
+//     any N that fits in memory is below that: path costs stay below
+//     2^28 * CostScale, far under kInfiniteCapacity = 2^60;
+//   - the solve's TotalCost sums flow times cost over at most
+//     MaxProbScale = 2^40 units: below 2^40 * 2^7 * CostScale.
+// At CostScale <= 2^15 the second is below 2^62 and the first below 2^43.
+// Without a bound, CostScale = 2^62 overflowed the cell products alone.
+static void checkCostScale(const MCFPOptions &Opts) {
+  if (Opts.CostScale > MCFPOptions::MaxCostScale)
+    throw std::invalid_argument(
+        "MCFP cost scale " + std::to_string(Opts.CostScale) +
+        " is above the largest supported " +
+        std::to_string(MCFPOptions::MaxCostScale));
 }
 
 /// Shared MCFP skeleton of Algorithm 2: the transport network with
@@ -58,7 +98,7 @@ static TransitionMatrix solveFlowMatrix(const Hamiltonian &H,
   for ([[maybe_unused]] double P : Pi)
     assert(P <= 0.5 + 1e-12 &&
            "pi_i > 0.5: split the Hamiltonian first (Theorem 5.1)");
-  std::vector<int64_t> Units = quantize(Pi, Opts.ProbScale);
+  std::vector<int64_t> Units = quantizeStationary(Pi, Opts.ProbScale);
 
   MinCostFlow Net(Units);
   for (size_t I = 0; I < N; ++I)
@@ -92,6 +132,7 @@ static TransitionMatrix solveFlowMatrix(const Hamiltonian &H,
 
 TransitionMatrix
 marqsim::buildGateCancellation(const Hamiltonian &H, const MCFPOptions &Opts) {
+  checkCostScale(Opts);
   std::vector<std::vector<unsigned>> Cost = cnotCostTable(H);
   return solveFlowMatrix(H, Opts, [&](size_t I, size_t J) {
     return Opts.CostScale * static_cast<int64_t>(Cost[I][J]);
@@ -112,6 +153,7 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
                                                   const MCFPOptions &Opts,
                                                   unsigned Jobs) {
   assert(Rounds > 0 && "perturbation averaging needs at least one round");
+  checkCostScale(Opts);
   std::vector<std::vector<unsigned>> Cost = cnotCostTable(H);
   const size_t N = H.numTerms();
 
@@ -165,6 +207,7 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
 TransitionMatrix
 marqsim::buildCommutationGrouping(const Hamiltonian &H,
                                   const MCFPOptions &Opts) {
+  checkCostScale(Opts);
   return solveFlowMatrix(H, Opts, [&](size_t I, size_t J) {
     bool Commute =
         H.term(I).String.commutesWith(H.term(J).String);

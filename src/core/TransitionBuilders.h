@@ -41,10 +41,29 @@ struct MCFPOptions {
   /// largest-remainder correction so they sum exactly to ProbScale.
   int64_t ProbScale = 1'000'000'000;
 
+  /// The largest ProbScale at which that correction is provably exact
+  /// (derivation at quantizeStationary, TransitionBuilders.cpp).
+  static constexpr int64_t MaxProbScale = int64_t(1) << 40;
+
   /// Cost multiplier (costs are integers; the multiplier leaves headroom
   /// for the +1 random perturbations without precision loss).
   int64_t CostScale = 2;
+
+  /// The largest CostScale at which every path cost of a CNOT-oracle
+  /// network stays below MinCostFlow::kInfiniteCapacity and the solve's
+  /// total cost fits an int64 at MaxProbScale (derivation in
+  /// TransitionBuilders.cpp). The oracle builders throw
+  /// std::invalid_argument above it.
+  static constexpr int64_t MaxCostScale = int64_t(1) << 15;
 };
+
+/// The flow network's integer supplies: \p Pi quantized to units that sum
+/// exactly to \p Scale by the largest-remainder method. Throws
+/// std::invalid_argument when rounding leaves more than Pi.size() units
+/// (or fewer than 0) to hand out, which Scale <= MCFPOptions::MaxProbScale
+/// rules out for every stationary distribution of under 8000 terms.
+std::vector<int64_t> quantizeStationary(const std::vector<double> &Pi,
+                                        int64_t Scale);
 
 /// Pqd of Corollary 4.1. Valid on its own (complete graph, stationary).
 TransitionMatrix buildQDrift(const Hamiltonian &H);

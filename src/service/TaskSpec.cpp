@@ -100,11 +100,13 @@ template <typename T> constexpr uint64_t maxWord() {
     return 0;
 }
 
-/// The Get, Set and Max columns of the row for TaskSpec member M.
-#define MEMBER(M)                                                              \
+/// The Get, Set and Max columns of the row for TaskSpec member M; the
+/// _UPTO form caps an integer below its type's maximum.
+#define MEMBER_UPTO(M, Max)                                                    \
   [](const TaskSpec &S) { return toWord(S.M); },                               \
-      [](TaskSpec &S, uint64_t W) { S.M = fromWord<decltype(S.M)>(W); },       \
-      maxWord<decltype(std::declval<TaskSpec>().M)>()
+      [](TaskSpec &S, uint64_t W) { S.M = fromWord<decltype(S.M)>(W); }, Max
+#define MEMBER(M)                                                              \
+  MEMBER_UPTO(M, maxWord<decltype(std::declval<TaskSpec>().M)>())
 
 struct Field {
   const char *Path; ///< JSON member; "group.member" inside a nested object
@@ -153,9 +155,9 @@ const Field Fields[] = {
     {"perturb_seed", "perturb-seed", HexWord, ForSampling, Always,
      MEMBER(PerturbSeed)},
     {"flow.prob_scale", nullptr, Int, ForSampling, Always,
-     MEMBER(Flow.ProbScale), {}, NoCheck, 1},
+     MEMBER_UPTO(Flow.ProbScale, MCFPOptions::MaxProbScale), {}, NoCheck, 1},
     {"flow.cost_scale", nullptr, Int, ForSampling, Always,
-     MEMBER(Flow.CostScale), {}, NoCheck, 1},
+     MEMBER_UPTO(Flow.CostScale, MCFPOptions::MaxCostScale), {}, NoCheck, 1},
     {"epsilon", "epsilon", HexDouble, ForSampling, Always, MEMBER(Epsilon), {},
      PositiveFinite},
     {"use_cdf", "cdf", Bool, ForSampling, Always, MEMBER(UseCDF)},
@@ -180,6 +182,7 @@ const Field Fields[] = {
 };
 
 #undef MEMBER
+#undef MEMBER_UPTO
 
 /// What a valid value of row F looks like, for error messages.
 std::string spelling(const Field &F, bool Cli) {
@@ -197,7 +200,7 @@ std::string spelling(const Field &F, bool Cli) {
 /// its JSON path when it has none.
 bool checkFields(const TaskSpec &S, std::string *Error) {
   for (const Field &F : Fields) {
-    if (F.Range == NoCheck || !(F.UsedBy & bit(S.Method)) ||
+    if (!(F.UsedBy & bit(S.Method)) ||
         (F.Keyed == Noisy && S.Noise.Kind == NoiseChannelKind::None))
       continue;
     const uint64_t W = F.Get(S);
@@ -205,7 +208,7 @@ bool checkFields(const TaskSpec &S, std::string *Error) {
     // Negated comparisons: NaN fails every ordered comparison, so `x <= 0`
     // forms would let --time=nan through. A NaN SparSto keep scale has
     // always passed the `x <= 0` form, and still does.
-    const char *Want = nullptr;
+    std::string Want;
     if (F.Range == PositiveFinite && !(X > 0.0 && std::isfinite(X)))
       Want = "positive and finite";
     else if (F.Range == Positive && X <= 0.0)
@@ -214,7 +217,9 @@ bool checkFields(const TaskSpec &S, std::string *Error) {
       Want = "in [0, 1]";
     else if (F.Range == AtLeastOne && W < 1)
       Want = "at least 1";
-    if (Want)
+    else if (F.K == Int && (static_cast<int64_t>(W) < F.Min || W > F.Max))
+      Want = spelling(F, /*Cli=*/false); // what fromJson would accept
+    if (!Want.empty())
       return detail::fail(Error, (F.Flag ? "--" + std::string(F.Flag)
                                          : std::string(F.Path)) +
                                      " must be " + Want);

@@ -182,7 +182,8 @@ struct TaskSpec {
   /// matrices.
   uint64_t PerturbSeed = 0x5EED;
 
-  /// MCFP encoding options (part of every matrix cache key).
+  /// MCFP encoding options (part of every matrix cache key). Each scale
+  /// is at least 1 and at most its MCFPOptions maximum.
   MCFPOptions Flow;
 
   TaskMethod Method = TaskMethod::Sampling;
@@ -239,7 +240,8 @@ struct TaskSpec {
 
   /// Structural validation: the per-field range checks of the field table
   /// in TaskSpec.cpp (positive finite time and epsilon, noise probability
-  /// in [0, 1], at least one shot, ...) for the fields the method uses,
+  /// in [0, 1], at least one shot, every integer within the bounds
+  /// fromJson accepts, ...) for the fields the method uses,
   /// plus the rules that span fields (normalizable mix, Prp rounds for a
   /// positive Prp weight, supported Trotter order, noise needs fidelity
   /// columns, the density oracle needs fp64). Returns false and fills

@@ -11,8 +11,11 @@
 /// AVX2, opsAt<16> for NEON. The lane operations are plain vector *, + and
 /// - (one IEEE rounding per lane, never fused under -ffp-contract=off),
 /// __builtin_shufflevector and __builtin_convertvector, so every width
-/// computes, lane for lane, the scalar reference's std::complex expression
-/// (sim/Kernels.cpp) and stays bit-identical to it.
+/// computes, lane for lane, the scalar reference's real butterfly
+/// (sim/Kernels.cpp) and stays bit-identical to it, zero signs included.
+/// Against the complex expression CosT*A + ISinT*(Ph*A2) that butterfly
+/// keeps every nonzero bit and leaves only the sign of a zero unspecified
+/// (the proof is in sim/Kernels.h).
 ///
 /// Include only from a tier translation unit. Everything here has internal
 /// linkage, and complex numbers and phase tables are read through their
@@ -27,6 +30,7 @@
 
 #include "sim/Kernels.h"
 
+#include <type_traits>
 #include <utility>
 
 namespace {
@@ -54,51 +58,46 @@ template <typename T> T im(const std::complex<T> &C) {
   return reinterpret_cast<const T *>(&C)[1];
 }
 
-/// PauliPhases::at, read from the fields.
-template <typename Phases>
-const auto &phaseAt(const Phases &Ph, uint64_t X) {
-  return __builtin_parityll(Ph.ZMask & X) ? Ph.Neg : Ph.Pos;
-}
-
 template <typename V> struct CVec {
   V Re, Im;
 };
 
 /// (Wr + i Wi)(Ar + i Ai) expanded as std::complex expands it, each
-/// product and sum rounded on its own.
+/// product and sum rounded on its own: the overlap accumulation's step.
 template <typename V> CVec<V> mul(V Wr, V Wi, V Ar, V Ai) {
   return {Wr * Ar - Wi * Ai, Wr * Ai + Wi * Ar};
 }
 
-/// CosT*A + ISinT*(P*A2) on split planes, with CosT = (C, 0) and
-/// ISinT = (0, S): the scalar update, its 0-component products included.
-template <typename V>
-CVec<V> rotate(V C, V S, V Ar, V Ai, V Pr, V Pi, V A2r, V A2i) {
-  const V Z{};
-  const CVec<V> U = mul(Pr, Pi, A2r, A2i);
-  const CVec<V> T2 = mul(Z, S, U.Re, U.Im);
-  const CVec<V> T1 = mul(C, Z, Ar, Ai);
-  return {T1.Re + T2.Re, T1.Im + T2.Im};
+/// The rotation's sign scalar S0: sin Theta times the sign of i * Ph.Pos
+/// (Pos.re - Pos.im is that sign, exactly +/-1). Row X takes S0, or -S0
+/// when ZMask & X has odd parity.
+template <typename Real, typename Phases>
+Real signedSin(std::complex<Real> ISinT, const Phases &Ph) {
+  return (re(Ph.Pos) - im(Ph.Pos)) * im(ISinT);
+}
+
+/// Runs \p Body with \p Flag as a compile-time constant (the phase class,
+/// the diagonal path), so the lane loops carry no branch on it.
+template <typename Fn> void withConstant(bool Flag, const Fn &Body) {
+  if (Flag)
+    Body(std::true_type{});
+  else
+    Body(std::false_type{});
+}
+
+/// The real butterfly on split planes: C*A + S*(A2 crossed in the odd
+/// class, A2 itself in the even class), the scalar reference's update.
+template <bool OddClass, typename V>
+CVec<V> turn(V C, V S, V Ar, V Ai, V A2r, V A2i) {
+  if constexpr (OddClass)
+    return {C * Ar - S * A2i, C * Ai + S * A2r};
+  else
+    return {C * Ar + S * A2r, C * Ai + S * A2i};
 }
 
 template <typename V, size_t... I>
 V swapPairs(V A, std::index_sequence<I...>) {
   return __builtin_shufflevector(A, A, (I ^ 1)...);
-}
-
-/// Even lanes of D, odd lanes of S.
-template <typename V, size_t... I>
-V evenOdd(V D, V S, std::index_sequence<I...>) {
-  return __builtin_shufflevector(D, S, (I % 2 ? sizeof...(I) + I : I)...);
-}
-
-/// W * A on interleaved [re, im] lanes, Wr and Wi duplicated across each
-/// lane pair: T1 = Wr*[ar, ai], T2 = Wi*[ai, ar], and the even (real) lanes
-/// take one rounded T1 - T2, the odd lanes one rounded T1 + T2.
-template <typename Real, typename V> V cmul(V WrDup, V WiDup, V A) {
-  constexpr auto Idx = std::make_index_sequence<sizeof(V) / sizeof(Real)>{};
-  const V T1 = WrDup * A, T2 = WiDup * swapPairs(A, Idx);
-  return evenOdd(T1 - T2, T1 + T2, Idx);
 }
 
 /// exp(i Theta P) on an interleaved statevector (Ops::ExpF64 / ExpF32).
@@ -114,45 +113,56 @@ void stateExp(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
     if ((XM ? Pivot : Dim) < K)
       return stateExp<B / 2>(Amp, Dim, XM, CosT, ISinT, Ph);
   using V = Lane<Real, B>;
+  constexpr auto Idx = std::make_index_sequence<2 * K>{};
+  const bool OddClass = im(Ph.Pos) == 0;
+  const Real S0 = signedSin(ISinT, Ph);
   // Every vector starts at a multiple X of K, so X + k = X | k for k < K
   // and parity(ZMask & (X + k)) = parity(ZMask & X) ^ parity(ZMask & k):
-  // its phases are the lane pattern of X = 0 or, at odd parity, the other
-  // constant in every lane. Both patterns are built once, real and
-  // imaginary parts duplicated per lane pair; one scalar parity per vector
-  // then picks one.
-  V PhR[2] = {}, PhI[2] = {};
+  // its row scalars are the lane pattern of X = 0 or, at odd parity, its
+  // negation. Both patterns are built once; one scalar parity per vector
+  // then picks one. In the odd class the real lane of each pair carries
+  // -S, so C*A + S*swapPairs(A2) is (C*ar + (-S)*a2i, C*ai + S*a2r) —
+  // bit for bit the scalar's C*ar - S*a2i, since (-S)*x is -(S*x) and
+  // a + (-b) is a - b.
+  V SL[2] = {};
   for (size_t Lo = 0; Lo < K; ++Lo)
-    for (int Odd = 0; Odd < 2; ++Odd) {
-      const bool Flip = __builtin_parityll(Ph.ZMask & Lo) != Odd;
-      const auto &P = Flip ? Ph.Neg : Ph.Pos;
-      PhR[Odd][2 * Lo] = PhR[Odd][2 * Lo + 1] = re(P);
-      PhI[Odd][2 * Lo] = PhI[Odd][2 * Lo + 1] = im(P);
+    for (int Parity = 0; Parity < 2; ++Parity) {
+      const bool Flip = __builtin_parityll(Ph.ZMask & Lo) != Parity;
+      const Real S = Flip ? -S0 : S0;
+      SL[Parity][2 * Lo] = OddClass ? -S : S;
+      SL[Parity][2 * Lo + 1] = S;
     }
-  const V C = splat<V>(re(CosT)), S = splat<V>(im(ISinT)), Z{};
-  // CosT*A + ISinT*(Ph*A2), with Y the basis index of A2's first complex.
-  auto update = [&](V A, V A2, uint64_t Y) {
-    const int Odd = __builtin_parityll(Ph.ZMask & Y);
-    return cmul<Real>(C, Z, A) +
-           cmul<Real>(Z, S, cmul<Real>(PhR[Odd], PhI[Odd], A2));
-  };
+  const V C = splat<V>(re(CosT));
   Real *P = reinterpret_cast<Real *>(Amp);
-  if (XM == 0) {
-    for (uint64_t X = 0; X < Dim; X += K) {
-      V &A = lanes<V>(P + 2 * X);
-      A = update(A, A, X);
+  withConstant(OddClass, [&](auto Odd) {
+    // CosT*A + ISinT*(Ph*A2) as the real butterfly, with Y the basis index
+    // of A2's first complex.
+    auto update = [&](V A, V A2, uint64_t Y) {
+      const V &S = SL[__builtin_parityll(Ph.ZMask & Y)];
+      if constexpr (Odd)
+        return C * A + S * swapPairs(A2, Idx);
+      else
+        return C * A + S * A2;
+    };
+    if (XM == 0) {
+      for (uint64_t X = 0; X < Dim; X += K) {
+        V &A = lanes<V>(P + 2 * X);
+        A = update(A, A, X);
+      }
+      return;
     }
-    return;
-  }
-  // X without the pivot bit runs Pivot consecutive indices every 2*Pivot;
-  // the partners Y = X ^ XM are consecutive too (XM has no lower bits).
-  for (uint64_t Base = 0; Base < Dim; Base += 2 * Pivot)
-    for (uint64_t X = Base; X < Base + Pivot; X += K) {
-      const uint64_t Y = X ^ XM;
-      V &A0 = lanes<V>(P + 2 * X), &A1 = lanes<V>(P + 2 * Y);
-      const V N0 = update(A0, A1, Y);
-      A1 = update(A1, A0, X);
-      A0 = N0;
-    }
+    // X without the pivot bit runs Pivot consecutive indices every
+    // 2*Pivot; the partners Y = X ^ XM are consecutive too (XM has no
+    // lower bits).
+    for (uint64_t Base = 0; Base < Dim; Base += 2 * Pivot)
+      for (uint64_t X = Base; X < Base + Pivot; X += K) {
+        const uint64_t Y = X ^ XM;
+        V &A0 = lanes<V>(P + 2 * X), &A1 = lanes<V>(P + 2 * Y);
+        const V N0 = update(A0, A1, Y);
+        A1 = update(A1, A0, X);
+        A0 = N0;
+      }
+  });
 }
 
 /// exp(i Theta P) over panel planes, then the fused overlap when TRe is
@@ -163,28 +173,30 @@ void panelExp(Real *Re, Real *Im, size_t Dim, size_t Stride, uint64_t XM,
               const Phases &Ph, const double *TRe, const double *TImNeg,
               double *AccRe, double *AccIm) {
   using V = Lane<Real, B>;
-  const V C = splat<V>(re(CosT)), S = splat<V>(im(ISinT));
+  const V C = splat<V>(re(CosT));
+  // Row X's scalar, indexed by the parity of ZMask & X: a load, never a
+  // branch on a parity that varies row to row.
+  const Real S0 = signedSin(ISinT, Ph);
+  const V SRow[2] = {splat<V>(S0), splat<V>(-S0)};
   // Pivot is 0 on the diagonal path (XM == 0): every row is its own
-  // partner and none is skipped. Diagonal is a constant so each
-  // instantiation of the row loop is branch-free.
+  // partner and none is skipped. The class and the diagonal path are
+  // constants, so each instantiation of the row loop is branch-free.
   const uint64_t Pivot = XM & (~XM + 1);
-  auto sweep = [&](auto Diagonal) {
+  auto sweep = [&](auto OddClass, auto Diagonal) {
     for (uint64_t X = 0; X < Dim; ++X) {
       if (X & Pivot)
         continue;
       const uint64_t Y = X ^ XM;
-      const V PXr = splat<V>(re(phaseAt(Ph, X)));
-      const V PXi = splat<V>(im(phaseAt(Ph, X)));
-      const V PYr = splat<V>(re(phaseAt(Ph, Y)));
-      const V PYi = splat<V>(im(phaseAt(Ph, Y)));
+      const V SX = SRow[__builtin_parityll(Ph.ZMask & X)];
+      const V SY = SRow[__builtin_parityll(Ph.ZMask & Y)];
       Real *ReX = Re + X * Stride, *ImX = Im + X * Stride;
       Real *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
       for (size_t L = 0; L < Stride; L += B / sizeof(Real)) {
         V &A0r = lanes<V>(ReX + L), &A0i = lanes<V>(ImX + L);
         V &A1r = lanes<V>(ReY + L), &A1i = lanes<V>(ImY + L);
-        const CVec<V> N0 = rotate(C, S, A0r, A0i, PYr, PYi, A1r, A1i);
+        const CVec<V> N0 = turn<OddClass>(C, SY, A0r, A0i, A1r, A1i);
         if constexpr (!Diagonal) {
-          const CVec<V> N1 = rotate(C, S, A1r, A1i, PXr, PXi, A0r, A0i);
+          const CVec<V> N1 = turn<OddClass>(C, SX, A1r, A1i, A0r, A0i);
           A1r = N1.Re;
           A1i = N1.Im;
         }
@@ -193,10 +205,9 @@ void panelExp(Real *Re, Real *Im, size_t Dim, size_t Stride, uint64_t XM,
       }
     }
   };
-  if (XM == 0)
-    sweep(std::true_type{});
-  else
-    sweep(std::false_type{});
+  withConstant(im(Ph.Pos) == 0, [&](auto OddClass) {
+    withConstant(XM == 0, [&](auto Diagonal) { sweep(OddClass, Diagonal); });
+  });
   if (!TRe)
     return;
   // Streaming accumulation, row by row in ascending basis order: the

@@ -6,11 +6,12 @@
 //
 // The scalar tier is the semantic definition of every kernel: the SIMD
 // tiers (one shared body, sim/KernelBody.h) must reproduce its
-// per-element std::complex arithmetic bit for bit, in FP64 and in FP32.
-// The statevector body is the original fused loop of
-// StateVector::applyPauliExp; the panel body is its SoA restatement with
-// identical per-element expressions, chained with the ascending-basis
-// accumulation loop of StatePanel::overlapWith, one lane chain per column.
+// per-element arithmetic bit for bit, in FP64 and in FP32. Every kernel
+// runs the real butterfly of the rotation's phase class (sim/Kernels.h):
+// two multiplies and one add per component. The panel body is the
+// statevector body restated over SoA planes, chained with the
+// ascending-basis accumulation loop of StatePanel::overlapWith, one lane
+// chain per column.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 
 using namespace marqsim;
 using marqsim::detail::PauliPhases;
@@ -29,40 +31,86 @@ using marqsim::detail::PauliPhasesF32;
 
 namespace {
 
+/// The real butterfly of one rotation: C = cos Theta, and S0 the sin
+/// Theta of ISinT times the sign of i * Ph.Pos (exact, a sign flip). Row
+/// X's scalar is S0 or, at odd parity of ZMask & X, -S0 — the same choice
+/// Ph.at(X) makes between Pos and Neg. OddClass is true when i * Pos is
+/// +/-i: the partner's real and imaginary parts then cross.
+template <typename Real> struct Butterfly {
+  Real C;
+  Real S[2]; ///< S0 and -S0, indexed by parity: no branch per row
+  bool OddClass;
+  uint64_t ZMask;
+
+  template <typename Phases>
+  Butterfly(std::complex<Real> CosT, std::complex<Real> ISinT,
+            const Phases &Ph)
+      : C(CosT.real()), OddClass(Ph.Pos.imag() == 0), ZMask(Ph.ZMask) {
+    S[0] = (Ph.Pos.real() - Ph.Pos.imag()) * ISinT.imag();
+    S[1] = -S[0];
+  }
+
+  Real s(uint64_t X) const { return S[__builtin_popcountll(ZMask & X) & 1]; }
+};
+
+/// N = cos * A + i sin * Ph(Y) * A2 for the partner A2 at basis index Y,
+/// with S = s(Y): (C*ar - S*a2i, C*ai + S*a2r) in the odd class and
+/// (C*ar + S*a2r, C*ai + S*a2i) in the even class.
+template <bool OddClass, typename Real>
+void turn(Real C, Real S, Real Ar, Real Ai, Real A2r, Real A2i, Real &Nr,
+          Real &Ni) {
+  if constexpr (OddClass) {
+    Nr = C * Ar - S * A2i;
+    Ni = C * Ai + S * A2r;
+  } else {
+    Nr = C * Ar + S * A2r;
+    Ni = C * Ai + S * A2i;
+  }
+}
+
+/// Runs \p Body with \p Flag as a compile-time constant (the phase class,
+/// the diagonal path), so the per-element loops carry no branch on it.
+template <typename Fn> void withConstant(bool Flag, const Fn &Body) {
+  if (Flag)
+    Body(std::true_type{});
+  else
+    Body(std::false_type{});
+}
+
 //===----------------------------------------------------------------------===//
 // Scalar statevector kernel (interleaved complex amplitudes)
 //===----------------------------------------------------------------------===//
 
+// Each {X, X ^ XM} pair is visited once and updated in place; XM == 0 is
+// the Z-diagonal path, where every element is its own partner. Every
+// nonzero result has the bits of the complex expression
+// CosT * A + ISinT * (Ph.at(Y) * A2); only the sign of a zero result may
+// differ from it (the contract and its proof are in sim/Kernels.h).
 template <typename Real, typename Phases>
 void scalarExp(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
                std::complex<Real> CosT, std::complex<Real> ISinT,
                const Phases &Ph) {
-  using C = std::complex<Real>;
-  if (XM == 0) {
-    // Diagonal fast path: P|X> = (+/-1)|X>, so each element only needs its
-    // own slot. The update keeps the literal two-product expression (rather
-    // than one fused factor cos +/- i sin) because a single multiply flips
-    // the sign of exact-zero amplitudes when cos(Theta) < 0; this form is
-    // bit-identical to the reference kernel including zero signs.
+  using Cx = std::complex<Real>;
+  const Butterfly<Real> B(CosT, ISinT, Ph);
+  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM; 0 if diagonal
+  withConstant(B.OddClass, [&](auto OddClass) {
+    auto update = [&](const Cx &A, const Cx &A2, uint64_t Y) {
+      Real Nr, Ni;
+      turn<OddClass>(B.C, B.s(Y), A.real(), A.imag(), A2.real(), A2.imag(),
+                     Nr, Ni);
+      return Cx(Nr, Ni);
+    };
     for (uint64_t X = 0; X < Dim; ++X) {
-      const C A = Amp[X];
-      Amp[X] = CosT * A + ISinT * (Ph.at(X) * A);
+      if (X & Pivot)
+        continue;
+      const uint64_t Y = X ^ XM;
+      const Cx A0 = Amp[X];
+      const Cx A1 = Amp[Y];
+      Amp[X] = update(A0, A1, Y);
+      if (XM)
+        Amp[Y] = update(A1, A0, X);
     }
-    return;
-  }
-  // Fused butterfly: each {X, X ^ XM} pair is visited once and updated in
-  // place with the same per-element arithmetic as the two-pass scratch
-  // formulation (cos * psi + i sin * P psi), so results are bit-identical.
-  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
-  for (uint64_t X = 0; X < Dim; ++X) {
-    if (X & Pivot)
-      continue;
-    const uint64_t Y = X ^ XM;
-    const C A0 = Amp[X];
-    const C A1 = Amp[Y];
-    Amp[X] = CosT * A0 + ISinT * (Ph.at(Y) * A1);
-    Amp[Y] = CosT * A1 + ISinT * (Ph.at(X) * A0);
-  }
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -71,51 +119,34 @@ void scalarExp(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
 
 // The sweeps cover the full Stride of every row, padding lanes included —
 // padding holds zeros and the updates are elementwise, so the dead lanes
-// stay zero (times cos/sin factors) and never leak into live columns.
-// This matches the SIMD tiers, which process whole vectors per row.
+// stay zero and never leak into live columns. This matches the SIMD
+// tiers, which process whole vectors per row.
 
 template <typename Real, typename Phases>
-void panelExpButterfly(Real *Re, Real *Im, size_t Dim, size_t Stride,
-                       uint64_t XM, std::complex<Real> CosT,
-                       std::complex<Real> ISinT, const Phases &Ph) {
-  using C = std::complex<Real>;
-  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
-  for (uint64_t X = 0; X < Dim; ++X) {
-    if (X & Pivot)
-      continue;
-    const uint64_t Y = X ^ XM;
-    const C PhX = Ph.at(X);
-    const C PhY = Ph.at(Y);
-    Real *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    Real *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
-    for (size_t L = 0; L < Stride; ++L) {
-      const C A0(ReX[L], ImX[L]);
-      const C A1(ReY[L], ImY[L]);
-      const C N0 = CosT * A0 + ISinT * (PhY * A1);
-      const C N1 = CosT * A1 + ISinT * (PhX * A0);
-      ReX[L] = N0.real();
-      ImX[L] = N0.imag();
-      ReY[L] = N1.real();
-      ImY[L] = N1.imag();
-    }
-  }
-}
-
-template <typename Real, typename Phases>
-void panelExpDiagonal(Real *Re, Real *Im, size_t Dim, size_t Stride,
-                      std::complex<Real> CosT, std::complex<Real> ISinT,
-                      const Phases &Ph) {
-  using C = std::complex<Real>;
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const C PhX = Ph.at(X);
-    Real *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    for (size_t L = 0; L < Stride; ++L) {
-      const C A(ReX[L], ImX[L]);
-      const C N = CosT * A + ISinT * (PhX * A);
-      ReX[L] = N.real();
-      ImX[L] = N.imag();
-    }
-  }
+void panelSweep(Real *Re, Real *Im, size_t Dim, size_t Stride, uint64_t XM,
+                std::complex<Real> CosT, std::complex<Real> ISinT,
+                const Phases &Ph) {
+  const Butterfly<Real> B(CosT, ISinT, Ph);
+  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM; 0 if diagonal
+  withConstant(B.OddClass, [&](auto OddClass) {
+    withConstant(XM == 0, [&](auto Diagonal) {
+      for (uint64_t X = 0; X < Dim; ++X) {
+        if (X & Pivot)
+          continue;
+        const uint64_t Y = X ^ XM;
+        const Real SX = B.s(X), SY = B.s(Y);
+        Real *ReX = Re + X * Stride, *ImX = Im + X * Stride;
+        Real *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
+        for (size_t L = 0; L < Stride; ++L) {
+          const Real A0r = ReX[L], A0i = ImX[L];
+          const Real A1r = ReY[L], A1i = ImY[L];
+          turn<OddClass>(B.C, SY, A0r, A0i, A1r, A1i, ReX[L], ImX[L]);
+          if constexpr (!Diagonal)
+            turn<OddClass>(B.C, SX, A1r, A1i, A0r, A0i, ReY[L], ImY[L]);
+        }
+      }
+    });
+  });
 }
 
 // The overlap accumulation: lane L of AccRe/AccIm runs column L's chain
@@ -149,10 +180,7 @@ void scalarPanelExp(Real *Re, Real *Im, size_t Dim, size_t Stride,
                     std::complex<Real> ISinT, const Phases &Ph,
                     const double *TRe, const double *TImNeg, double *AccRe,
                     double *AccIm) {
-  if (XM == 0)
-    panelExpDiagonal<Real>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-  else
-    panelExpButterfly<Real>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
+  panelSweep<Real>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
   // Rotation sweep first, then one streaming accumulation pass: the
   // butterfly visits rows in pair order, so accumulating inside it would
   // reorder the per-column chains.

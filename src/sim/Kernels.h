@@ -26,21 +26,50 @@
 /// vector width; a pivot run or a Z-diagonal shorter than one vector
 /// halves the width inside the same tier, down to one complex.
 ///
-/// Determinism contract: every vector lane performs exactly the
-/// per-element arithmetic of the scalar reference — the same
-/// complex-multiply expansion std::complex uses, each multiply, add and
-/// subtract individually rounded, no fused multiply-adds (the whole
-/// project builds with -ffp-contract=off). The interleaved complex
-/// multiply forms its subtract-in-even-lanes step as a blend of one
-/// rounded subtract and one rounded add, so each lane is still one
-/// rounding of the scalar expression. Amplitude updates are
-/// elementwise-independent maps, so lane order and vector width never
-/// matter, and every dispatch choice emits bit-identical amplitudes; the
-/// frozen fidelity goldens hold on every ISA. The fused overlap
-/// accumulates each column's overlap as its own lane chain in ascending
-/// basis order — the exact chain StatePanel::overlapWith runs — so fusing
-/// never changes a single bit either. The FP32 kernels keep the same
-/// scalar-vs-SIMD bit-identity among themselves but are only
+/// Determinism contract. Every kernel computes exp(i Theta P) as the real
+/// butterfly of the rotation's phase class. P|Y> carries the phase
+/// Ph(Y) = +/- i^k (detail::PauliPhases), so i * Ph(Y) is +/-1 (the even
+/// class) or +/-i (the odd class); Neg = -Pos, so the class is one per
+/// rotation and only the sign varies by row. With c = cos Theta, the sign of
+/// i * Ph(Y) folded into S = +/- sin Theta, and A2 the partner amplitude
+/// (A itself on the Z-diagonal path), each update is
+///
+///   odd class:  N.re = c*A.re - S*A2.im,  N.im = c*A.im + S*A2.re
+///   even class: N.re = c*A.re + S*A2.re,  N.im = c*A.im + S*A2.im
+///
+/// — two multiplies and one add per component, each rounded on its own,
+/// no fused multiply-adds (the whole project builds with
+/// -ffp-contract=off). The scalar tier is the reference, and every SIMD
+/// lane performs exactly its arithmetic: the interleaved walk carries -S
+/// in the real lanes of the odd class, and c*a + (-S)*b rounds exactly
+/// as c*a - S*b does. Updates are elementwise-independent maps, so lane
+/// order and vector width never matter: every dispatch choice emits
+/// bit-identical amplitudes, zero signs included.
+///
+/// Against the complex expression CosT*A + ISinT*(Ph(Y)*A2), with
+/// CosT = (c, 0) and ISinT = (0, sin Theta) — three std::complex
+/// multiplies, the form the two-pass reference in the tests runs — every
+/// nonzero amplitude keeps its bits and only the sign of a zero is
+/// unspecified:
+///   - every term the butterfly drops is an exact +/-0 addend, a product
+///     with a literal zero component of CosT, ISinT or Ph;
+///   - every product by +/-1 or +/-i is an exact sign flip or a re/im
+///     swap, so the products that remain are the same rounded values
+///     up to sign, and a + (-b) is a - b;
+///   - so each component sums the same two rounded products, whose
+///     result differs only when it is an exact zero, and then only in
+///     its sign.
+/// No consumer sees that sign: a zero enters later products and sums as
+/// a zero (x + (+/-0) = x for nonzero x), and overlaps, std::abs,
+/// std::norm, every fidelity, hash, artifact and golden are blind to it.
+/// SimTest's ButterflyContractTest holds every tier to this against the
+/// two-pass reference; KernelTest holds the tiers to each other bit for
+/// bit.
+///
+/// The fused overlap accumulates each column's overlap as its own lane
+/// chain in ascending basis order — the exact chain
+/// StatePanel::overlapWith runs — so fusing never changes a single bit.
+/// The FP32 kernels keep the same contract among themselves but are only
 /// tolerance-comparable to FP64 (sim/Precision.h).
 ///
 /// Panel-plane layout contract (BasicStatePanel): split real/imag planes,
@@ -111,9 +140,8 @@ namespace kernels {
 using ComplexF = std::complex<float>;
 
 /// One implementation tier of every dispatched kernel. CosT carries
-/// (cos Theta, 0) and ISinT (0, sin Theta) — the exact constants the
-/// scalar expressions use, so the 0-component products (and their
-/// sign-of-zero effects) are reproduced verbatim.
+/// (cos Theta, 0) and ISinT (0, sin Theta); the kernels read c and
+/// sin Theta from them and run the real butterfly (contract above).
 struct Ops {
   /// Tier name as reported by --stats and the bench CSVs:
   /// "avx512", "avx2-fma", "neon", or "scalar".

@@ -24,10 +24,14 @@
 ///
 /// Determinism contract (FP64): every column of the panel evolves with
 /// exactly the per-element arithmetic of a standalone StateVector — the
-/// kernels share the phase-selection helper and gate matrices — so a
-/// panel of C columns is bit-identical to C serial single-state replays
-/// for every panel width and every kernel dispatch. SimTest pins this
-/// across widths and fast paths. The float instantiation (StatePanelF32)
+/// same real butterfly per rotation (sim/Kernels.h) and the same gate
+/// matrices — so a panel of C columns is bit-identical to C serial
+/// single-state replays, zero signs included, for every panel width and
+/// every kernel dispatch. Against the textbook complex expression every
+/// nonzero amplitude keeps its bits and a zero's sign is unspecified,
+/// which no overlap or fidelity can observe (the proof is in
+/// sim/Kernels.h). SimTest pins both across widths and fast paths. The
+/// float instantiation (StatePanelF32)
 /// is the opt-in throughput tier: per-rotation constants are computed in
 /// double and narrowed once, amplitudes evolve in float, and overlaps
 /// still accumulate in double; its results are tolerance-defined against

@@ -17,11 +17,11 @@
 /// each {X, X^xMask} butterfly pair exactly once and updates it in place
 /// (no scratch round trip), and Z-only strings take a diagonal fast path
 /// that touches each element's own slot only — half the memory traffic
-/// again. Both paths perform bit-for-bit the arithmetic of the textbook
-/// two-pass formulation (including the signs of zeros), so fidelities and
-/// golden schedules are unchanged — see detail::PauliPhases in
-/// sim/Kernels.h for the phase-selection helper (shared with StatePanel)
-/// and SimTest's reference-kernel equivalence tests for the pinning. The
+/// again. Both paths run the real butterfly of the rotation's phase
+/// class, which gives every nonzero amplitude the bits of the textbook
+/// two-pass formulation (only a zero's sign may differ), so fidelities
+/// and golden schedules are unchanged — see the determinism contract in
+/// sim/Kernels.h and SimTest's reference-kernel tests for the pinning. The
 /// loops themselves live behind the runtime-dispatched kernel table of
 /// sim/Kernels.h, which picks AVX-512/AVX2/NEON variants that are
 /// bit-identical to the scalar reference.

@@ -356,6 +356,38 @@ TEST(TransitionBuildersTest, FlowMatrixBitsAreFrozen) {
             0xdee8cbe12a01535eULL);
 }
 
+TEST(TransitionBuildersTest, EveryRegistryModelBuildsAtTheMaximumScales) {
+  // flow.prob_scale and flow.cost_scale stop at MCFPOptions' maxima,
+  // where quantization is provably exact and no cost sum can overflow:
+  // every registry model must build Pgc there, from units that sum to
+  // exactly the scale.
+  MCFPOptions Opts;
+  Opts.ProbScale = MCFPOptions::MaxProbScale;
+  Opts.CostScale = MCFPOptions::MaxCostScale;
+  for (const BenchmarkSpec &B : paperBenchmarks()) {
+    const Hamiltonian H = makeBenchmark(B).merged().splitLargeTerms();
+    const std::vector<int64_t> Units =
+        quantizeStationary(H.stationaryDistribution(), Opts.ProbScale);
+    int64_t Sum = 0;
+    for (int64_t U : Units)
+      Sum += U;
+    EXPECT_EQ(Sum, Opts.ProbScale) << B.Name;
+    TransitionMatrix Pgc;
+    EXPECT_NO_THROW(Pgc = buildGateCancellation(H, Opts)) << B.Name;
+    EXPECT_TRUE(Pgc.isRowStochastic(1e-9)) << B.Name;
+  }
+  // Far past the bound the rounding leaves more units to hand out than
+  // there are terms, or a negative count; the step throws rather than read
+  // past its remainders, and a cost scale past its bound is refused.
+  const Hamiltonian Na = makeBenchmark(*findBenchmark("Na+")).merged();
+  EXPECT_THROW(quantizeStationary(Na.stationaryDistribution(),
+                                  int64_t(1) << 62),
+               std::invalid_argument);
+  Opts.CostScale = MCFPOptions::MaxCostScale + 1;
+  EXPECT_THROW(buildGateCancellation(Na.splitLargeTerms(), Opts),
+               std::invalid_argument);
+}
+
 TEST(TransitionBuildersTest, CommutationGroupingValid) {
   Hamiltonian H = example53();
   TransitionMatrix Pcg = buildCommutationGrouping(H);

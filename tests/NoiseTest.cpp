@@ -22,6 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "hamgen/Registry.h"
 #include "service/SimulationService.h"
 #include "shard/ShardCoordinator.h"
 #include "shard/ShardManifest.h"
@@ -602,4 +603,68 @@ TEST(NoiseGoldenTest, FixedSeedNoisyBatchIsFrozen) {
     EXPECT_EQ(serial::doubleBits(Noisy->ShotFidelities[I]), Golden[I])
         << "shot " << I << " = " << serial::hex16(serial::doubleBits(
                                          Noisy->ShotFidelities[I]));
+}
+
+TEST(EvalWarmGoldenTest, RegistryShotFidelitiesAreFrozen) {
+  // OH- and SYK-2 at the shape of perfbench's eval-warm workload: gc
+  // sampling at T = 0.125, epsilon = 0.05 T^2 (about 28k rotations per
+  // OH- shot), 8 target columns, noiseless and with stochastic
+  // depolarizing noise at p = 2e-6. These schedules drive every kernel
+  // path the evaluator has (butterflies at every pivot, Z-diagonals, the
+  // fused overlap tail) through tens of thousands of rotations, so a
+  // kernel change that moves one bit of one nonzero amplitude shows up
+  // here. The bits were captured before the kernels were restated as the
+  // real butterfly of each rotation's phase class.
+  struct Case {
+    const char *Model;
+    bool Noisy;
+    uint64_t Golden[4];
+  };
+  const Case Cases[] = {
+      {"OH-",
+       false,
+       {0x3feffda585c74ffaULL, 0x3feffe4e92640bc3ULL, 0x3feffe1f44c7e4c7ULL,
+        0x3feffd39357aab93ULL}},
+      {"OH-",
+       true,
+       {0x3feffd7f1edfe761ULL, 0x3feffd6489e35885ULL, 0x3feffd9fe29c84e4ULL,
+        0x3fefed3c64717357ULL}},
+      {"SYK-2",
+       false,
+       {0x3feffcc0069f7594ULL, 0x3feffd66ab5ff7eeULL, 0x3feffcb78efa5e9dULL,
+        0x3feffdacd264c9ddULL}},
+      // Shot 2 draws a parity-flipping error: SYK-2 conserves fermion
+      // parity, so the state is orthogonal to its target up to rounding.
+      {"SYK-2",
+       true,
+       {0x3feff9814aad55d9ULL, 0x3feffacdc5877686ULL, 0x393373d062f3b272ULL,
+        0x3feff0639e10c14fULL}},
+  };
+  SimulationService Service;
+  for (const Case &C : Cases) {
+    TaskSpec Spec;
+    Spec.Source = HamiltonianSource::fromHamiltonian(
+        makeBenchmark(*findBenchmark(C.Model)));
+    Spec.Mix = *ChannelMix::preset("gc");
+    Spec.Time = 0.125;
+    Spec.Epsilon = 0.05 * Spec.Time * Spec.Time;
+    Spec.Shots = 4;
+    Spec.Jobs = 4;
+    Spec.Seed = 4242;
+    Spec.Evaluate.FidelityColumns = 8;
+    Spec.Evaluate.ColumnSeed = 0xC0;
+    if (C.Noisy) {
+      Spec.Noise.Kind = NoiseChannelKind::Depolarizing;
+      Spec.Noise.Mode = NoiseMode::Stochastic;
+      Spec.Noise.Prob = 2e-6;
+    }
+    std::string Error;
+    std::optional<TaskResult> R = Service.run(Spec, &Error);
+    ASSERT_TRUE(R) << C.Model << ": " << Error;
+    ASSERT_EQ(R->ShotFidelities.size(), 4u) << C.Model;
+    for (size_t I = 0; I < 4; ++I)
+      EXPECT_EQ(serial::doubleBits(R->ShotFidelities[I]), C.Golden[I])
+          << C.Model << (C.Noisy ? " noisy" : "") << " shot " << I << " = 0x"
+          << serial::hex16(serial::doubleBits(R->ShotFidelities[I]));
+  }
 }

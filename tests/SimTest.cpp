@@ -9,6 +9,8 @@
 #include "linalg/Expm.h"
 #include "sim/Evolution.h"
 #include "sim/Fidelity.h"
+#include "sim/KernelBody.h"
+#include "sim/Kernels.h"
 #include "sim/StatePanel.h"
 #include "sim/StateVector.h"
 #include "support/RNG.h"
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 using namespace marqsim;
 
@@ -38,10 +41,12 @@ CVector randomState(unsigned N, RNG &Rng) {
   return V;
 }
 
-/// The pre-fusion two-pass scratch kernels, kept verbatim as the reference
-/// the fused in-place kernels must reproduce bit for bit (including the
-/// signs of zeros — EXPECT_EQ on doubles treats -0.0 == +0.0, so the
-/// comparisons below go through the raw bit patterns).
+/// The pre-fusion two-pass scratch kernels, kept verbatim as references.
+/// applyPauli must reproduce referencePauli bit for bit, signs of zeros
+/// included (EXPECT_EQ on doubles treats -0.0 == +0.0, so the comparisons
+/// below go through the raw bit patterns). The exp kernels must reproduce
+/// every nonzero bit of referencePauliExp; a zero's sign is unspecified
+/// (sim/Kernels.h).
 void referencePauliExp(CVector &Amp, const PauliString &P, double Theta) {
   const Complex CosT(std::cos(Theta), 0.0);
   const Complex ISinT(0.0, std::sin(Theta));
@@ -72,6 +77,30 @@ void referencePauli(CVector &Amp, const PauliString &P) {
   for (size_t I = 0; I < N; ++I) {
     if (serial::doubleBits(A[I].real()) != serial::doubleBits(B[I].real()) ||
         serial::doubleBits(A[I].imag()) != serial::doubleBits(B[I].imag()))
+      return ::testing::AssertionFailure()
+             << "amplitude " << I << " differs: (" << A[I].real() << ", "
+             << A[I].imag() << ") vs (" << B[I].real() << ", " << B[I].imag()
+             << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The kernels' determinism contract against the complex-expression
+/// reference (sim/Kernels.h): every nonzero component has the reference's
+/// exact bits, and every zero component is a zero of either sign. Zeros
+/// whose sign differs are counted into \p ZeroSignFlips when given.
+::testing::AssertionResult sameNonzeroBits(const CVector &A, const Complex *B,
+                                           size_t N,
+                                           size_t *ZeroSignFlips = nullptr) {
+  auto same = [&](double X, double Y) {
+    if (X != 0.0)
+      return serial::doubleBits(X) == serial::doubleBits(Y);
+    if (ZeroSignFlips && Y == 0.0 && std::signbit(X) != std::signbit(Y))
+      ++*ZeroSignFlips;
+    return Y == 0.0;
+  };
+  for (size_t I = 0; I < N; ++I) {
+    if (!same(A[I].real(), B[I].real()) || !same(A[I].imag(), B[I].imag()))
       return ::testing::AssertionFailure()
              << "amplitude " << I << " differs: (" << A[I].real() << ", "
              << A[I].imag() << ") vs (" << B[I].real() << ", " << B[I].imag()
@@ -322,8 +351,10 @@ TEST(FidelityEvaluatorTest, CircuitAndScheduleAgree) {
 
 TEST(FusedKernelTest, MatchesTwoPassReferenceBitForBit) {
   // Random states AND basis states (exact zeros exercise the sign-of-zero
-  // corners of the diagonal fast path), across the full string alphabet,
-  // Z-only strings, and the identity.
+  // corners), across the full string alphabet, Z-only strings, and the
+  // identity. Nonzero amplitudes must match the reference bit for bit;
+  // the real butterfly drops only exact-zero addends, so a zero may come
+  // out with the other sign.
   RNG Rng(90);
   for (int Trial = 0; Trial < 60; ++Trial) {
     unsigned N = 1 + Rng.uniformInt(5);
@@ -340,8 +371,8 @@ TEST(FusedKernelTest, MatchesTwoPassReferenceBitForBit) {
     referencePauliExp(Reference, P, Theta);
     StateVector Fused(N, In);
     Fused.applyPauliExp(P, Theta);
-    ASSERT_TRUE(bitIdentical(Reference, Fused.amplitudes().data(),
-                             Reference.size()))
+    ASSERT_TRUE(sameNonzeroBits(Reference, Fused.amplitudes().data(),
+                                Reference.size()))
         << "exp trial " << Trial << " string " << P.str(N);
 
     CVector PauliRef = In;
@@ -351,6 +382,297 @@ TEST(FusedKernelTest, MatchesTwoPassReferenceBitForBit) {
     ASSERT_TRUE(bitIdentical(PauliRef, FusedPauli.amplitudes().data(),
                              PauliRef.size()))
         << "pauli trial " << Trial << " string " << P.str(N);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The real butterfly against the two-pass reference, on every tier
+//===----------------------------------------------------------------------===//
+//
+// Every kernel path — statevector and panel, FP64 and FP32, butterfly,
+// Z-diagonal, short pivot runs and the fused overlap tail — on every tier
+// this host runs (plus the shared body at 16 bytes, the NEON width),
+// against the verbatim two-pass reference above. Inputs are built to land
+// on exact zeros of both signs: components drawn from {+0, -0, +-1,
+// +-1/2} and gaussians, and angles with cos(Theta) < 0. Nonzero values
+// must keep every bit and zeros must stay zeros; the tests also count the
+// zeros whose sign moved, to show the inputs reach that clause.
+
+namespace {
+
+using CVectorF32 = StateVectorF32::AmpVector;
+
+struct DispatchRestorer {
+  ~DispatchRestorer() { kernels::selectAuto(); }
+};
+
+/// Every kernel tier this host runs, plus the shared kernel body at 16
+/// bytes built in this baseline-ISA translation unit.
+std::vector<const kernels::Ops *> everyTier() {
+  static constexpr kernels::Ops Body16 = kernel_body::opsAt<16>("body16");
+  std::vector<const kernels::Ops *> Tiers = kernels::availableOps();
+  Tiers.insert(Tiers.end(), &Body16);
+  return Tiers;
+}
+
+/// referencePauliExp as the FP32 tier defines it: cos, sin and the phase
+/// constants narrowed once (the phases exactly), then the same two
+/// passes in std::complex<float>.
+void referencePauliExpF32(CVectorF32 &Amp, const PauliString &P,
+                          double Theta) {
+  using CF = std::complex<float>;
+  const CF CosT(static_cast<float>(std::cos(Theta)), 0.0f);
+  const CF ISinT(0.0f, static_cast<float>(std::sin(Theta)));
+  if (P.isIdentity()) {
+    const CF Phase = CosT + ISinT;
+    for (CF &A : Amp)
+      A *= Phase;
+    return;
+  }
+  CVectorF32 Scratch(Amp.size());
+  const uint64_t XM = P.xMask();
+  for (uint64_t X = 0; X < Amp.size(); ++X) {
+    const Complex Ph = P.applyToBasis(X);
+    Scratch[X ^ XM] = CF(static_cast<float>(Ph.real()),
+                         static_cast<float>(Ph.imag())) *
+                      Amp[X];
+  }
+  for (size_t X = 0; X < Amp.size(); ++X)
+    Amp[X] = CosT * Amp[X] + ISinT * Scratch[X];
+}
+
+CVector widen(const CVectorF32 &V) {
+  CVector W(V.size());
+  for (size_t I = 0; I < V.size(); ++I)
+    W[I] = Complex(V[I].real(), V[I].imag());
+  return W;
+}
+
+CVectorF32 narrow(const CVector &V) {
+  CVectorF32 F(V.size());
+  for (size_t I = 0; I < V.size(); ++I)
+    F[I] = std::complex<float>(static_cast<float>(V[I].real()),
+                               static_cast<float>(V[I].imag()));
+  return F;
+}
+
+/// Components from signed zeros, signed units and halves, and gaussians.
+CVector adversarialState(unsigned N, RNG &Rng) {
+  static const double Pool[6] = {0.0, -0.0, 1.0, -1.0, 0.5, -0.5};
+  auto draw = [&] {
+    return Rng.bernoulli(0.25) ? Rng.gaussian() : Pool[Rng.uniformInt(6)];
+  };
+  CVector V(size_t(1) << N);
+  for (Complex &A : V) {
+    const double Re = draw();
+    const double Im = draw();
+    A = Complex(Re, Im);
+  }
+  return V;
+}
+
+/// Half the angles have cos(Theta) < 0; a few are exactly +-0.
+double adversarialAngle(RNG &Rng) {
+  switch (Rng.uniformInt(8)) {
+  case 0:
+    return 0.0;
+  case 1:
+    return -0.0;
+  case 2:
+  case 3:
+  case 4:
+    return (Rng.bernoulli(0.5) ? 1.0 : -1.0) * Rng.uniform(1.7, 3.1);
+  default:
+    return Rng.gaussian() * 0.7;
+  }
+}
+
+/// Full-alphabet strings, Z-only diagonals, the identity, and single X/Y
+/// flips at a random qubit (pivot runs of every length) under random Zs.
+PauliString adversarialString(unsigned N, RNG &Rng) {
+  switch (Rng.uniformInt(8)) {
+  case 0:
+    return PauliString();
+  case 1:
+  case 2:
+    return randomString(N, Rng, /*ZOnly=*/true);
+  case 3:
+  case 4: {
+    PauliString P = randomString(N, Rng, /*ZOnly=*/true);
+    P.setOp(static_cast<unsigned>(Rng.uniformInt(N)),
+            Rng.bernoulli(0.5) ? PauliOpKind::X : PauliOpKind::Y);
+    return P;
+  }
+  default:
+    return randomString(N, Rng);
+  }
+}
+
+} // namespace
+
+TEST(ButterflyContractTest, StateVectorsMatchTwoPassReferenceOnEveryTier) {
+  DispatchRestorer Restore;
+  size_t Flips = 0;
+  for (const kernels::Ops *Tier : everyTier()) {
+    kernels::selectTierForTesting(*Tier);
+    RNG Rng(1919);
+    for (unsigned N : {1u, 2u, 3u, 4u, 5u, 7u}) {
+      for (unsigned Trial = 0; Trial < 24; ++Trial) {
+        CVector Ref = adversarialState(N, Rng);
+        CVectorF32 RefF = narrow(Ref);
+        StateVector SV(N, Ref);
+        StateVectorF32 SVF(N, RefF);
+        for (unsigned Step = 0; Step < 6; ++Step) {
+          const PauliString P = adversarialString(N, Rng);
+          const double Theta = adversarialAngle(Rng);
+          referencePauliExp(Ref, P, Theta);
+          SV.applyPauliExp(P, Theta);
+          ASSERT_TRUE(sameNonzeroBits(Ref, SV.amplitudes().data(), Ref.size(),
+                                      &Flips))
+              << Tier->Name << ", fp64, " << P.str(N) << " at " << Theta;
+          referencePauliExpF32(RefF, P, Theta);
+          SVF.applyPauliExp(P, Theta);
+          ASSERT_TRUE(sameNonzeroBits(widen(RefF),
+                                      widen(SVF.amplitudes()).data(),
+                                      RefF.size(), &Flips))
+              << Tier->Name << ", fp32, " << P.str(N) << " at " << Theta;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Flips, 0u) << "no zero changed sign: the inputs miss the clause";
+}
+
+namespace {
+
+/// Writes \p States column by column into \p Panel's planes (padding
+/// lanes stay zero).
+template <typename Real>
+void loadColumns(BasicStatePanel<Real> &Panel,
+                 const std::vector<CVector> &States) {
+  const size_t Stride = Panel.laneStride();
+  for (size_t C = 0; C < States.size(); ++C)
+    for (uint64_t X = 0; X < Panel.dim(); ++X) {
+      Panel.realPlane()[X * Stride + C] =
+          static_cast<Real>(States[C][X].real());
+      Panel.imagPlane()[X * Stride + C] =
+          static_cast<Real>(States[C][X].imag());
+    }
+}
+
+} // namespace
+
+TEST(ButterflyContractTest, PanelsAndFusedTailMatchTwoPassReferenceOnEveryTier) {
+  DispatchRestorer Restore;
+  size_t Flips = 0;
+  for (const kernels::Ops *Tier : everyTier()) {
+    kernels::selectTierForTesting(*Tier);
+    RNG Rng(2323);
+    for (unsigned N : {1u, 2u, 3u, 5u}) {
+      for (size_t Cols : {size_t(1), size_t(3), size_t(8), size_t(11)}) {
+        std::vector<CVector> Ref(Cols), Targets(Cols);
+        std::vector<CVectorF32> RefF(Cols);
+        for (size_t C = 0; C < Cols; ++C) {
+          Ref[C] = adversarialState(N, Rng);
+          RefF[C] = narrow(Ref[C]);
+          Targets[C] = adversarialState(N, Rng);
+        }
+        const std::vector<uint64_t> Basis(Cols, 0);
+        StatePanel Panel(N, Basis);
+        StatePanelF32 PanelF(N, Basis);
+        loadColumns(Panel, Ref);
+        loadColumns(PanelF, Ref);
+        const TargetPanel Packed(Targets.data(), Cols, Panel.laneStride());
+        const TargetPanel PackedF(Targets.data(), Cols, PanelF.laneStride());
+        for (unsigned Step = 0; Step < 6; ++Step) {
+          const PauliString P = adversarialString(N, Rng);
+          const double Theta = adversarialAngle(Rng);
+          const bool Fused = Step == 5;
+          std::vector<Complex> Out(Cols), OutF(Cols);
+          if (Fused) {
+            Panel.applyPauliExpAllFused(P, Theta, Packed, Out.data());
+            PanelF.applyPauliExpAllFused(P, Theta, PackedF, OutF.data());
+          } else {
+            Panel.applyPauliExpAll(P, Theta);
+            PanelF.applyPauliExpAll(P, Theta);
+          }
+          for (size_t C = 0; C < Cols; ++C) {
+            referencePauliExp(Ref[C], P, Theta);
+            referencePauliExpF32(RefF[C], P, Theta);
+            const CVector WideF = widen(RefF[C]);
+            ASSERT_TRUE(sameNonzeroBits(Ref[C], Panel.column(C).data(),
+                                        Ref[C].size(), &Flips))
+                << Tier->Name << ", fp64, " << Cols << " columns, column "
+                << C << ", " << P.str(N) << " at " << Theta;
+            ASSERT_TRUE(sameNonzeroBits(WideF, PanelF.column(C).data(),
+                                        WideF.size(), &Flips))
+                << Tier->Name << ", fp32, " << Cols << " columns, column "
+                << C << ", " << P.str(N) << " at " << Theta;
+            if (!Fused)
+              continue;
+            const CVector Overlap{innerProduct(Targets[C], Ref[C])};
+            const CVector OverlapF{innerProduct(Targets[C], WideF)};
+            ASSERT_TRUE(sameNonzeroBits(Overlap, &Out[C], 1, &Flips))
+                << Tier->Name << ", fp64 fused overlap, column " << C;
+            ASSERT_TRUE(sameNonzeroBits(OverlapF, &OutF[C], 1, &Flips))
+                << Tier->Name << ", fp32 fused overlap, column " << C;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(Flips, 0u) << "no zero changed sign: the inputs miss the clause";
+}
+
+TEST(ButterflyContractTest, FidelityBitsMatchTwoPassReferenceOnEveryTier) {
+  // Nine columns: one panel block of eight with its fused tail, and the
+  // width-1 statevector walk. cos(Theta) < 0 angles and exact-zero
+  // amplitudes (the columns start as basis states) on every path.
+  DispatchRestorer Restore;
+  const unsigned N = 5;
+  RNG Rng(4711);
+  std::vector<ScheduledRotation> Schedule;
+  for (int Step = 0; Step < 40; ++Step)
+    Schedule.emplace_back(adversarialString(N, Rng), adversarialAngle(Rng));
+  const Hamiltonian H = makeTransverseFieldIsing(N, 1.0, 0.7);
+  const FidelityEvaluator Eval(H, 0.4, 9, /*Seed=*/3);
+  ASSERT_EQ(Eval.numColumns(), 9u);
+
+  Complex Trace = 0.0, TraceF = 0.0;
+  double Norms = 0.0, NormsF = 0.0;
+  for (size_t C = 0; C < Eval.numColumns(); ++C) {
+    CVector Amp(size_t(1) << N, Complex(0.0, 0.0));
+    Amp[Eval.columns()[C]] = 1.0;
+    CVectorF32 AmpF = narrow(Amp);
+    for (const ScheduledRotation &Step : Schedule) {
+      referencePauliExp(Amp, Step.String, Step.Tau);
+      referencePauliExpF32(AmpF, Step.String, Step.Tau);
+    }
+    const Complex O = innerProduct(Eval.targets()[C], Amp);
+    const Complex OF = innerProduct(Eval.targets()[C], widen(AmpF));
+    Trace += O;
+    TraceF += OF;
+    Norms += std::norm(O);
+    NormsF += std::norm(OF);
+  }
+  const double Cols = static_cast<double>(Eval.numColumns());
+  const uint64_t Fid = serial::doubleBits(std::abs(Trace) / Cols);
+  const uint64_t FidF = serial::doubleBits(std::abs(TraceF) / Cols);
+  const uint64_t StateFid = serial::doubleBits(Norms / Cols);
+  const uint64_t StateFidF = serial::doubleBits(NormsF / Cols);
+  for (const kernels::Ops *Tier : everyTier()) {
+    kernels::selectTierForTesting(*Tier);
+    EXPECT_EQ(serial::doubleBits(Eval.fidelity(Schedule)), Fid) << Tier->Name;
+    EXPECT_EQ(serial::doubleBits(Eval.stateFidelity(Schedule)), StateFid)
+        << Tier->Name;
+    EXPECT_EQ(serial::doubleBits(
+                  Eval.fidelity(Schedule, 1, EvalPrecision::FP32)),
+              FidF)
+        << Tier->Name << ", fp32";
+    EXPECT_EQ(serial::doubleBits(
+                  Eval.stateFidelity(Schedule, 1, EvalPrecision::FP32)),
+              StateFidF)
+        << Tier->Name << ", fp32";
   }
 }
 

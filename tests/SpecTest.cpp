@@ -422,6 +422,44 @@ TEST(CacheLimitFlagTest, TakesOneWholeFiniteNumber) {
   }
 }
 
+// flow.prob_scale and flow.cost_scale stop where the MCFP builders are
+// provably exact and overflow-free (core/TransitionBuilders.h): the
+// maximum passes both front doors, one more fails both, naming the path.
+TEST(FlowScaleBoundTest, MaximumPassesAndOneMoreFailsNamingThePath) {
+  struct Bound {
+    const char *Path;
+    int64_t MCFPOptions::*Member;
+    int64_t Max;
+  };
+  for (const Bound &B :
+       {Bound{"flow.prob_scale", &MCFPOptions::ProbScale,
+              MCFPOptions::MaxProbScale},
+        Bound{"flow.cost_scale", &MCFPOptions::CostScale,
+              MCFPOptions::MaxCostScale}}) {
+    for (int64_t Value : {B.Max, B.Max + 1}) {
+      TaskSpec Spec = fromFlags({});
+      Spec.Flow.*B.Member = Value;
+      std::string Error;
+      const bool Valid = Spec.validate(&Error);
+      std::optional<json::Value> Frame = Spec.toJson(&Error);
+      ASSERT_TRUE(Frame) << Error;
+      std::string JsonError;
+      std::optional<TaskSpec> Back = TaskSpec::fromJson(*Frame, &JsonError);
+      if (Value == B.Max) {
+        EXPECT_TRUE(Valid) << Error;
+        ASSERT_TRUE(Back) << JsonError;
+        EXPECT_EQ((*Back).Flow.*B.Member, B.Max) << B.Path;
+        EXPECT_EQ(Back->contentKey(), Spec.contentKey()) << B.Path;
+      } else {
+        EXPECT_FALSE(Valid) << B.Path;
+        EXPECT_NE(Error.find(B.Path), std::string::npos) << Error;
+        EXPECT_FALSE(Back) << B.Path;
+        EXPECT_NE(JsonError.find(B.Path), std::string::npos) << JsonError;
+      }
+    }
+  }
+}
+
 TEST(TaskSpecFuzzTest, MutatedFramesFailCleanlyOrKeepTheirKey) {
   std::vector<json::Value> Seeds;
   std::vector<std::string> Texts;

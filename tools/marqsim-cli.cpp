@@ -120,7 +120,8 @@
 // --cache-dir and --cache-limit-bytes (the coordinator's cache budget,
 // byte-exact) are read besides; every other flag is ignored.
 //
-// Exit codes: 0 success, 1 usage error, 2 malformed input / failed run.
+// Exit codes: 0 success, 1 usage error or a library exception (its
+// message on stderr), 2 malformed input / failed run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -134,6 +135,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -295,9 +297,7 @@ int runConnectMode(const CommandLine &CL, TaskSpec Spec) {
   return 0;
 }
 
-} // namespace
-
-int main(int Argc, char **Argv) {
+int runCli(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
   // Worker mode and a pure stats query take no Hamiltonian argument;
   // handle them before the usage gate below would demand one.
@@ -588,4 +588,18 @@ int main(int Argc, char **Argv) {
     std::cout << StatsJson.dump() << "\n";
   }
   return 0;
+}
+
+} // namespace
+
+int main(int Argc, char **Argv) {
+  // A library error that escapes as an exception (an MCFP option the flow
+  // builders reject, say, from a --shard-spec file) ends the run with its
+  // message instead of std::terminate.
+  try {
+    return runCli(Argc, Argv);
+  } catch (const std::exception &E) {
+    std::cerr << "error: " << E.what() << "\n";
+    return 1;
+  }
 }
